@@ -10,14 +10,16 @@ backend, so the speedup column is batched-vs-serial).
 
 The workload uses a fine capacity unit (2.5 Gbps) so trajectories run
 long before feasibility — the paper's regime (max trajectory length
-2048) where the environment's provable-shortfall bound skips most LP
+2048) where the environment's duality-certificate bound skips most LP
 re-solves and the per-step cost is dominated by the policy forward,
 i.e. the part batching can amortize.  Budgets are exact multiples of
 ``K * MAX_STEPS`` so every collected group lands on the budget with
 zero discarded over-collection.
 
-Recorded per row: wall-clock seconds, merged steps, steps/sec and the
-speedup vs K=1.  The determinism contract is asserted on the measured
+Recorded per row: wall-clock seconds, merged steps, steps/sec, the
+speedup vs K=1 and the feasibility-LP solves per merged step of the
+measured round (what the LP-skip leaves to pay for).  The determinism
+contract is asserted on the measured
 batches themselves: trajectory ``s`` is seeded by ``(seed, epoch, s)``
 regardless of K, so the merged reward stream is bitwise invariant
 across batched env counts (a larger budget only appends trajectories).
@@ -55,8 +57,16 @@ def build_env_policy():
     return env, policy
 
 
+def lp_solves(collector, env) -> int:
+    """Feasibility-LP solves so far by the environments being stepped."""
+    batched_env = getattr(collector, "_benv", None)
+    if batched_env is None:  # the serial backend steps ``env`` itself
+        return env.evaluator.lp_solves
+    return sum(evaluator.lp_solves for evaluator in batched_env.evaluators)
+
+
 def timed_collect(num_envs: int, budget: int):
-    """One warmed, timed collection round; returns (seconds, rewards)."""
+    """One warmed, timed collection round; returns (seconds, rewards, LPs)."""
     env, policy = build_env_policy()
     collector = make_collector(
         env,
@@ -75,11 +85,13 @@ def timed_collect(num_envs: int, budget: int):
             max_trajectory_length=MAX_STEPS,
             epoch=0,
         )
+        solves_before = lp_solves(collector, env)
         start = time.perf_counter()
         batch = collector.collect(
             budget=budget, max_trajectory_length=MAX_STEPS, epoch=1
         )
         seconds = time.perf_counter() - start
+        solves = lp_solves(collector, env) - solves_before
     finally:
         collector.close()
     rewards = [
@@ -88,7 +100,7 @@ def timed_collect(num_envs: int, budget: int):
     assert batch.num_steps == budget, (
         f"K={num_envs} collected {batch.num_steps} steps for budget {budget}"
     )
-    return seconds, rewards
+    return seconds, rewards, solves
 
 
 def run_scaling(profile_name: "str | None" = None) -> list:
@@ -102,7 +114,7 @@ def run_scaling(profile_name: "str | None" = None) -> list:
     serial_seconds = None
     for num_envs in ENV_COUNTS:
         budget = max(base_budget, num_envs * MAX_STEPS)
-        seconds, rewards = timed_collect(num_envs, budget)
+        seconds, rewards, solves = timed_collect(num_envs, budget)
         reward_streams[num_envs] = rewards
         if num_envs == 1:
             serial_seconds = seconds
@@ -116,6 +128,7 @@ def run_scaling(profile_name: "str | None" = None) -> list:
                 "speedup_vs_serial": (
                     (serial_seconds / seconds) * (budget / base_budget)
                 ),
+                "lp_solves_per_step": solves / budget,
                 "cpu_count": cpu_count,
             }
         )
@@ -142,7 +155,8 @@ def test_batched_env_scaling(benchmark, save_rows):
     for row in rows:
         print(
             f"  K={row['num_envs']:3d}: {row['steps_per_sec']:8.1f} steps/s "
-            f"(speedup {row['speedup_vs_serial']:.2f})"
+            f"(speedup {row['speedup_vs_serial']:.2f}, "
+            f"{row['lp_solves_per_step']:.3f} LP solves/step)"
         )
 
     by_envs = {r["num_envs"]: r for r in rows}

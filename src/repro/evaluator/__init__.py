@@ -22,7 +22,11 @@ groups concurrently and :mod:`repro.evaluator.routing` decomposes the
 LP solution into explicit traffic paths.
 """
 
-from repro.evaluator.feasibility import FeasibilityChecker, FailureCheckResult
+from repro.evaluator.feasibility import (
+    DualityCertificate,
+    FailureCheckResult,
+    FeasibilityChecker,
+)
 from repro.evaluator.evaluator import EvaluationResult, PlanEvaluator
 from repro.evaluator.stateful import StatefulFailureChecker
 from repro.evaluator.parallel import ParallelFailureChecker, partition_failures
@@ -34,6 +38,7 @@ from repro.evaluator.routing import (
 )
 
 __all__ = [
+    "DualityCertificate",
     "FeasibilityChecker",
     "FailureCheckResult",
     "PlanEvaluator",

@@ -14,7 +14,11 @@ from typing import Callable
 
 from repro import telemetry
 from repro.errors import ConfigError
-from repro.evaluator.feasibility import FailureCheckResult, FeasibilityChecker
+from repro.evaluator.feasibility import (
+    DualityCertificate,
+    FailureCheckResult,
+    FeasibilityChecker,
+)
 from repro.evaluator.stateful import StatefulFailureChecker
 from repro.topology.instance import PlanningInstance
 
@@ -47,6 +51,13 @@ class EvaluationResult:
                 raise ConfigError("EvaluationResult has no cost provider")
             self._cost = self._cost_fn()
         return self._cost
+
+    @property
+    def certificate(self) -> "DualityCertificate | None":
+        """The violated failure's duality certificate (None if feasible)."""
+        if self.feasible or not self.checks:
+            return None
+        return self.checks[-1].certificate
 
 
 class PlanEvaluator:

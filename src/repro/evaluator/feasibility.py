@@ -21,17 +21,26 @@ and site-failure exemptions stay expressible after aggregation.
 Site-failure semantics: flows whose source or destination site failed
 are exempt from the requirement (they cannot possibly be served), which
 matches production plan evaluators.
+
+A violated check also carries a weak-duality certificate built from
+that LP's row duals (:class:`DualityCertificate`): an upper bound on
+the served demand that is linear in the capacity vector and holds for
+*every* capacity vector under the same failure and demand matrix.  It
+is built on first read, so callers that only want verdicts pay nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
 from repro import telemetry
 from repro.errors import SolverError, TrafficError
 from repro.solver import Model, Status, quicksum
+from repro.solver.model import RowDuals
 from repro.topology.failures import FailureScenario
 from repro.topology.instance import PlanningInstance
 from repro.topology.traffic import TrafficMatrix
@@ -55,6 +64,29 @@ class _FailureTemplate:
 
 
 @dataclass(frozen=True)
+class DualityCertificate:
+    """Weak-duality upper bound on one failure LP's served demand.
+
+    ``served(c) <= constant + sum(slopes[l] * c[l])`` for every capacity
+    vector ``c`` under the failure and demand matrix it was derived
+    from, so ``required_demand - bound(c)`` never exceeds the shortfall.
+    ``slopes`` holds only the nonzero per-link slopes, in link order;
+    links the failure cuts always have slope 0.
+    """
+
+    required_demand: float
+    constant: float
+    slopes: dict[str, float]
+
+    def bound(self, capacities: dict[str, float]) -> float:
+        """Upper bound on the demand servable at ``capacities``."""
+        bound = self.constant
+        for link_id, slope in self.slopes.items():
+            bound += slope * capacities[link_id]
+        return bound
+
+
+@dataclass(frozen=True)
 class FailureCheckResult:
     """Outcome of checking one failure scenario."""
 
@@ -62,10 +94,18 @@ class FailureCheckResult:
     satisfied: bool
     required_demand: float
     served_demand: float
+    _certify: "Callable[[], DualityCertificate] | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def shortfall(self) -> float:
         return max(0.0, self.required_demand - self.served_demand)
+
+    @cached_property
+    def certificate(self) -> "DualityCertificate | None":
+        """The violated LP's duality certificate (None when satisfied)."""
+        return None if self._certify is None else self._certify()
 
 
 class FeasibilityChecker:
@@ -157,6 +197,21 @@ class FeasibilityChecker:
         self._model = model
         self._flows = flows
         self._commodities = commodities
+        # Certificate indexing: each capacity row's model row, the flow
+        # variables it caps (one per commodity), and the served columns.
+        self._cap_rows = np.array(
+            [c.index for c in self._capacity_constrs.values()], dtype=np.int64
+        )
+        self._cap_flow_cols = np.array(
+            [
+                [self._flow_vars[link_id, direction, k].index for k in commodities]
+                for link_id, direction in self._capacity_constrs
+            ],
+            dtype=np.int64,
+        )
+        self._served_cols = np.array(
+            [var.index for var in self._served_vars], dtype=np.int64
+        )
 
         # Hot-path state: capacity rows in insertion order (two per
         # link), the link index behind each row, and the bounds as they
@@ -342,4 +397,42 @@ class FeasibilityChecker:
             satisfied=satisfied,
             required_demand=required_demand,
             served_demand=min(served, required_demand),
+            _certify=(
+                None
+                if satisfied
+                else partial(self._certificate, self._model.row_duals, template)
+            ),
+        )
+
+    def _certificate(
+        self, duals: RowDuals, template: _FailureTemplate
+    ) -> DualityCertificate:
+        """Weak-duality bound from one solve's row duals ``pi``.
+
+        With reduced costs ``d = 1_served - A^T pi`` (exact for any
+        ``pi``), every feasible point satisfies
+        ``served = pi . Ax + d . x``.  Conservation rows have RHS 0, so
+        they drop out; a capacity row's activity lies in ``[0, c_r]``,
+        so it adds at most ``max(pi_r, 0) * c_r``; a flow variable is
+        implicitly bounded by its row's capacity, so it adds at most
+        ``max(d_j, 0) * c_r``; a served variable adds at most
+        ``max(d_i, 0) * serve_ub_i``.  Nothing assumes ``pi`` is
+        optimal, so the bound holds for whatever duals the solver
+        returned; at an optimal ``pi`` it is tight at the solved
+        capacities (strong duality).
+        """
+        pi = duals.values
+        gain = np.maximum(self._model.reduced_costs(pi), 0.0)
+        flow_gain = gain[self._cap_flow_cols].sum(axis=1)
+        row_slopes = np.maximum(pi[self._cap_rows], 0.0) + flow_gain
+        link_slopes = row_slopes[0::2] + row_slopes[1::2]
+        # A cut link's rows are pinned to 0 whatever its capacity.
+        link_slopes[template.zero_rows // 2] = 0.0
+        return DualityCertificate(
+            required_demand=template.required_demand,
+            constant=float(gain[self._served_cols] @ template.serve_ub),
+            slopes={
+                self._link_ids[i]: float(link_slopes[i])
+                for i in np.flatnonzero(link_slopes)
+            },
         )

@@ -82,13 +82,14 @@ class StatefulFailureChecker:
         Returns ``None`` when every remaining failure is survived --
         i.e. the plan is feasible.
         """
-        if self.verify_monotonic and self._last_capacities is not None:
-            for link_id, value in capacities.items():
-                if value < self._last_capacities.get(link_id, 0.0) - 1e-9:
-                    raise EnvironmentError_(
-                        f"capacity of {link_id} decreased; call reset() first"
-                    )
-        self._last_capacities = dict(capacities)
+        if self.verify_monotonic:
+            if self._last_capacities is not None:
+                for link_id, value in capacities.items():
+                    if value < self._last_capacities.get(link_id, 0.0) - 1e-9:
+                        raise EnvironmentError_(
+                            f"capacity of {link_id} decreased; call reset() first"
+                        )
+            self._last_capacities = dict(capacities)
         entry_cursor = self._cursor
         checked = 0
 

@@ -70,11 +70,7 @@ from repro.nn.gnn import GATLayer, GCNLayer, SAGELayer
 from repro.nn.layers import MLP, Identity, Linear, ReLU, Tanh
 from repro.nn.tensor import Tensor
 from repro.resilience import faults
-from repro.rl.env import (
-    INFEASIBILITY_SKIP_SLACK,
-    TERMINAL_PENALTY,
-    PlanningEnv,
-)
+from repro.rl.env import TERMINAL_PENALTY, PlanningEnv, ShortfallBound
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.rollouts import Fragment, RolloutBatch, Transition, merge_fragments
 from repro.seeding import stream_generator
@@ -225,10 +221,8 @@ class BatchedPlanningEnv:
         self._steps = np.zeros(num_envs, dtype=np.int64)
         self._done = np.ones(num_envs, dtype=bool)
         self._feasible = np.zeros(num_envs, dtype=bool)
-        # Per-slot provable shortfall bounds, decayed exactly as the
-        # serial environment decays its scalar (see PlanningEnv.step).
-        self._infeasibility_gaps = [0.0] * num_envs
-        self._last_violated: "list[str | None]" = [None] * num_envs
+        # Per-slot LP-skip bounds, the same rule PlanningEnv.step applies.
+        self._shortfall_bounds = [ShortfallBound() for _ in range(num_envs)]
 
     # -- episode control ------------------------------------------------
     def reset_all(self) -> None:
@@ -246,10 +240,7 @@ class BatchedPlanningEnv:
             result = self.evaluators[slot].evaluate(self._caps_dicts[slot])
             self._feasible[slot] = result.feasible
             self._done[slot] = result.feasible
-            self._infeasibility_gaps[slot] = (
-                0.0 if result.feasible else result.shortfall
-            )
-            self._last_violated[slot] = result.violated_failure
+            self._shortfall_bounds[slot].reseed(result, self._caps_dicts[slot])
         self._steps[:] = 0
 
     @property
@@ -329,6 +320,7 @@ class BatchedPlanningEnv:
         network = self.instance.network
         befores = []
         amounts = []
+        links = []
         for slot, action in zip(slots, actions):
             if self._done[slot]:
                 raise EnvironmentError_(
@@ -341,6 +333,7 @@ class BatchedPlanningEnv:
             amount = (units_index + 1) * self.unit
             befores.append(dict(self._caps_dicts[slot]))
             amounts.append(amount)
+            links.append(link_id)
             self._caps_dicts[slot][link_id] = (
                 self._caps_dicts[slot][link_id] + amount
             )
@@ -356,22 +349,18 @@ class BatchedPlanningEnv:
             )
 
         results: list[tuple[float, bool, bool]] = []
-        for slot, before, amount in zip(slots, befores, amounts):
-            added_cost = cost_model.incremental_cost(
-                network, before, self._caps_dicts[slot]
-            )
+        for slot, before, amount, link_id in zip(slots, befores, amounts, links):
+            capacities = self._caps_dicts[slot]
+            added_cost = cost_model.incremental_cost(network, before, capacities)
             reward = -added_cost / self.reward_scale
             self._steps[slot] += 1
-            self._infeasibility_gaps[slot] -= 2.0 * amount
-            if self._infeasibility_gaps[slot] > INFEASIBILITY_SKIP_SLACK:
+            bound = self._shortfall_bounds[slot]
+            if bound.skips(link_id, amount):
                 feasible = False
             else:
-                result = self.evaluators[slot].evaluate(self._caps_dicts[slot])
+                result = self.evaluators[slot].evaluate(capacities)
                 feasible = result.feasible
-                self._infeasibility_gaps[slot] = (
-                    0.0 if feasible else result.shortfall
-                )
-                self._last_violated[slot] = result.violated_failure
+                bound.reseed(result, capacities)
             self._feasible[slot] = feasible
             done = False
             if feasible:

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import ConfigError, EnvironmentError_
-from repro.evaluator import PlanEvaluator
+from repro.evaluator import EvaluationResult, PlanEvaluator
 from repro.nn.gnn import normalized_adjacency, normalized_adjacency_sparse
 from repro.planning.greedy import GreedyPlanner
 from repro.rl.state import StateEncoder
@@ -55,6 +55,49 @@ class StepResult:
     done: bool
     feasible: bool
     info: dict
+
+
+class ShortfallBound:
+    """Provable lower bound on the violated failure's shortfall.
+
+    After an infeasible evaluation the violated failure's
+    :class:`~repro.evaluator.DualityCertificate` bounds its served
+    demand by ``constant + s . c`` for *every* capacity vector ``c``, so
+    ``gap = required - bound(c)`` never exceeds the true shortfall.
+    Adding ``amount`` to one link lowers the gap by ``s[link] * amount``
+    (an O(1) update); while it stays above ``INFEASIBILITY_SKIP_SLACK``
+    the failure is provably still violated, and because capacity only
+    grows within a trajectory, every failure checked before it still
+    survives -- the evaluator would return the same verdict, so the LP
+    solve is skipped.  Each real evaluation re-seeds the bound.
+    """
+
+    __slots__ = ("gap", "violated", "_slopes")
+
+    def __init__(self) -> None:
+        self.gap = 0.0
+        self.violated: "str | None" = None
+        self._slopes: dict[str, float] = {}
+
+    def reseed(self, result: EvaluationResult, capacities: dict[str, float]) -> None:
+        """Restart from a real evaluation of ``capacities``."""
+        certificate = result.certificate
+        self.violated = result.violated_failure
+        if certificate is None:
+            self.gap = 0.0
+            self._slopes = {}
+        else:
+            self.gap = certificate.required_demand - certificate.bound(capacities)
+            self._slopes = certificate.slopes
+
+    def skips(self, link_id: str, amount: float) -> bool:
+        """Account for ``amount`` added to ``link_id``; True to skip the LP."""
+        self.gap -= self._slopes.get(link_id, 0.0) * amount
+        if self.gap > INFEASIBILITY_SKIP_SLACK:
+            if telemetry.enabled():
+                telemetry.counter("env.lp_skips")
+            return True
+        return False
 
 
 class EvaluationMemo:
@@ -155,13 +198,7 @@ class PlanningEnv:
         self._steps = 0
         self._done = True
         self._feasible = False
-        # Provable lower bound on the violated scenario's shortfall.
-        # Adding x Gbps to one link raises the feasibility LP's served
-        # demand by at most 2x (each direction row relaxes by x), so the
-        # bound decays by 2x per step and the LP solve is skipped while
-        # it stays clearly positive -- same verdicts, far fewer solves.
-        self._infeasibility_gap = 0.0
-        self._last_violated: "str | None" = None
+        self._shortfall_bound = ShortfallBound()
         # Optional cross-rollout verdict sharing (see EvaluationMemo).
         self.eval_memo: "EvaluationMemo | None" = None
 
@@ -280,8 +317,7 @@ class PlanningEnv:
         result = self._evaluate_memoized()
         self._feasible = result.feasible
         self._done = result.feasible  # nothing to plan
-        self._infeasibility_gap = 0.0 if result.feasible else result.shortfall
-        self._last_violated = result.violated_failure
+        self._shortfall_bound.reseed(result, self._capacities)
         return self.observation()
 
     def retarget_demands(self, traffic) -> int:
@@ -340,21 +376,17 @@ class PlanningEnv:
         reward = -added_cost / self.reward_scale
         self._steps += 1
 
-        self._infeasibility_gap -= 2.0 * amount
-        if self._infeasibility_gap > INFEASIBILITY_SKIP_SLACK:
-            # The violated scenario's shortfall is provably still
-            # positive: the evaluator would return the same verdict,
-            # so don't pay for the LP solve.
+        bound = self._shortfall_bound
+        if bound.skips(link_id, amount):
             feasible = False
-            violated = self._last_violated
-            shortfall = self._infeasibility_gap
+            violated = bound.violated
+            shortfall = bound.gap
         else:
             result = self._evaluate_memoized()
             feasible = result.feasible
             violated = result.violated_failure
             shortfall = result.shortfall
-            self._infeasibility_gap = 0.0 if feasible else result.shortfall
-            self._last_violated = result.violated_failure
+            bound.reseed(result, self._capacities)
         self._feasible = feasible
         if feasible:
             self._done = True

@@ -44,6 +44,12 @@ and environments without the vendored bindings fall back to
 ``optimize(relax=True)`` solves the LP relaxation of a MILP.  A
 warm-start hint is emulated with an objective cutoff (see
 :meth:`Model.optimize`).
+
+Both LP paths also expose the row duals of the last solve
+(:attr:`Model.row_duals`): HiGHS's ``getSolution().row_dual`` on the
+persistent instance, the ``eqlin`` / ``ineqlin`` marginals on linprog.
+They are kept as the backend's own result object and converted only
+when read, so a caller that never asks pays nothing.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,6 +113,32 @@ class _GrowableArray:
         return self._buf[: self._size]
 
 
+class RowDuals:
+    """Row duals of one LP solve, converted on first read.
+
+    Holds the backend's own result object (a copied HiGHS solution or a
+    linprog result), so taking one costs a reference and it stays valid
+    after the model is re-solved.  :attr:`values` has one entry per
+    constraint, in the model's objective sense: the rate at which the
+    optimum moves with that constraint's binding bound (``>= 0`` for a
+    binding ``<=`` row of a maximization).
+    """
+
+    __slots__ = ("_read", "_values")
+
+    def __init__(self, read: Callable[[], np.ndarray]):
+        self._read = read
+        self._values: np.ndarray | None = None
+
+    @property
+    def values(self) -> np.ndarray:
+        values = self._values
+        if values is None:
+            # Racing readers convert twice and store equal arrays.
+            values = self._values = self._read()
+        return values
+
+
 class _PersistentLPError(Exception):
     """Internal: the persistent backend could not finish this solve."""
 
@@ -160,8 +192,8 @@ class _PersistentLP:
         idx = np.arange(cost.shape[0], dtype=np.int32)
         self._highs.changeColsCost(cost.shape[0], idx, cost)
 
-    def solve(self) -> "tuple[Status, float | None, np.ndarray | None]":
-        """Run HiGHS; return (status, signed objective, solution)."""
+    def solve(self) -> "tuple[Status, float | None, object]":
+        """Run HiGHS; return (status, signed objective, HighsSolution)."""
         highs = self._highs
         highs.run()
         self.solve_count += 1
@@ -169,8 +201,8 @@ class _PersistentLP:
         core = _highs_core.HighsModelStatus
         if model_status == core.kOptimal:
             objective = float(highs.getInfo().objective_function_value)
-            solution = np.asarray(highs.getSolution().col_value, dtype=np.float64)
-            return Status.OPTIMAL, objective, solution
+            # getSolution() returns a copy, so it outlives later re-solves.
+            return Status.OPTIMAL, objective, highs.getSolution()
         if model_status == core.kInfeasible:
             return Status.INFEASIBLE, None, None
         if model_status == core.kUnbounded:
@@ -178,6 +210,24 @@ class _PersistentLP:
         # kUnboundedOrInfeasible and anything exotic: let the linprog
         # path (with its own presolve configuration) disambiguate.
         raise _PersistentLPError(f"unexpected HiGHS status {model_status}")
+
+
+def _linprog_row_duals(result, eq_mask, ub_mask, lb_mask) -> np.ndarray:
+    """Per-row duals from linprog's marginals (minimization sense).
+
+    linprog receives the rows split into ``A_eq``, ``A_ub`` (upper
+    bounds) and negated ``A_ub`` rows (lower bounds); a ranged row's
+    dual is its upper part minus its lower part.
+    """
+    duals = np.zeros(eq_mask.shape[0])
+    if eq_mask.any():
+        duals[eq_mask] = result.eqlin.marginals
+    num_ub = int(np.count_nonzero(ub_mask))
+    if num_ub:
+        duals[ub_mask] = result.ineqlin.marginals[:num_ub]
+    if lb_mask.any():
+        duals[lb_mask] -= result.ineqlin.marginals[num_ub:]
+    return duals
 
 
 class Constraint:
@@ -255,6 +305,7 @@ class Model:
         self._matrix: sp.csr_matrix | None = None
         self._lp_split: tuple | None = None
         self._solution: np.ndarray | None = None
+        self._row_duals: RowDuals | None = None
         self._objective_value: float | None = None
         self._status = Status.NOT_SOLVED
         self._solve_time = 0.0
@@ -454,6 +505,7 @@ class Model:
 
     def _mark_solution_stale(self) -> None:
         self._solution = None
+        self._row_duals = None
         self._objective_value = None
         self._status = Status.NOT_SOLVED
 
@@ -570,6 +622,7 @@ class Model:
                 f"injected solver timeout for model {self.name!r}"
             )
         use_milp = not relax and self.num_integer_variables > 0
+        self._row_duals = None
         start = time.perf_counter()
 
         if warm_start is not None and use_milp:
@@ -705,8 +758,12 @@ class Model:
         self._cutoff_dirty = False
         status, objective, solution = persistent.solve()
         if status is Status.OPTIMAL:
-            self._solution = solution
+            self._solution = np.asarray(solution.col_value, dtype=np.float64)
             self._objective_value = objective * self._sense
+            num_rows, sense = len(self.constraints), self._sense
+            self._row_duals = RowDuals(
+                lambda: sense * np.asarray(solution.row_dual[:num_rows])
+            )
         return status
 
     def _solve_lp_linprog(
@@ -741,6 +798,11 @@ class Model:
         if result.status == 0:
             self._solution = np.asarray(result.x)
             self._objective_value = float(result.fun) * self._sense
+            num_rows, sense = len(self.constraints), self._sense
+            masks = (eq_mask, ub_mask, lb_mask)
+            self._row_duals = RowDuals(
+                lambda: sense * _linprog_row_duals(result, *masks)[:num_rows]
+            )
             return Status.OPTIMAL
         if result.status == 1:
             return Status.TIME_LIMIT
@@ -803,6 +865,24 @@ class Model:
     @property
     def has_incumbent(self) -> bool:
         return self._solution is not None
+
+    @property
+    def row_duals(self) -> RowDuals:
+        """Row duals of the last LP solve (see :class:`RowDuals`)."""
+        if self._row_duals is None:
+            raise SolverError("no LP duals available; solve an LP first")
+        return self._row_duals
+
+    def reduced_costs(self, duals: np.ndarray) -> np.ndarray:
+        """``objective - A^T duals`` per variable, in the objective sense.
+
+        Exact for whatever ``duals`` is passed, optimal or not, which is
+        what lets a caller turn any dual vector into a valid bound.
+        """
+        matrix = self._compiled_matrix()
+        padded = np.zeros(matrix.shape[0])
+        padded[: len(duals)] = duals
+        return self._objective_vector() * self._sense - matrix.T @ padded
 
     @property
     def objective_value(self) -> float:

@@ -1,9 +1,16 @@
-"""Tests for the per-failure feasibility LP."""
+"""Tests for the per-failure feasibility LP and its duality certificate."""
 
+import sys
+import threading
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.evaluator.feasibility import FeasibilityChecker
-from repro.topology import datasets
+from repro.solver.model import RowDuals
+from repro.topology import datasets, generators
 from repro.topology.elements import Fiber, IPLink, Node
 from repro.topology.failures import FailureScenario
 from repro.topology.instance import PlanningInstance
@@ -155,3 +162,145 @@ class TestInstrumentation:
         for failure in [None, *triangle.failures]:
             if checker.check(base, failure).satisfied:
                 assert checker.check(bigger, failure).satisfied
+
+
+def grown(capacities, rng, unit):
+    """A random capacity vector >= ``capacities`` (0-8 units per link)."""
+    return {
+        link_id: value + unit * int(rng.integers(0, 9))
+        for link_id, value in capacities.items()
+    }
+
+
+class TestDualityCertificate:
+    """served(c) <= certificate.bound(c) for every grown capacity vector."""
+
+    def test_min_cut_link_carries_the_slope(self, triangle):
+        checker = FeasibilityChecker(triangle)
+        caps = {"ab": 4.0, "bc": 10.0, "ac": 10.0}
+        cut_ac = triangle.failures[0]
+        result = checker.check(caps, cut_ac)
+        assert not result.satisfied
+        certificate = result.certificate
+        assert certificate is result.certificate  # built once, then cached
+        assert certificate.required_demand == result.required_demand
+        assert certificate.bound(caps) == pytest.approx(4.0)
+        # The cut link can never help, and the slack bc link does not.
+        assert set(certificate.slopes) == {"ab"}
+        assert certificate.slopes["ab"] == pytest.approx(1.0)
+
+    def test_satisfied_check_has_no_certificate(self, triangle):
+        checker = FeasibilityChecker(triangle)
+        assert checker.check(triangle.network.capacities(), None).certificate is None
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=5),
+        scale=st.sampled_from([0.5, 0.7, 1.0]),
+        unit=st.sampled_from([2.5, 10.0, 50.0]),
+        aggregate=st.booleans(),
+        draw_seed=st.integers(0, 2**16),
+    )
+    def test_bound_is_sound_and_tight_at_the_anchor(
+        self, seed, scale, unit, aggregate, draw_seed
+    ):
+        instance = generators.make_instance(
+            "A", seed=seed, scale=scale, horizon="short", capacity_unit=unit
+        )
+        checker = FeasibilityChecker(instance, aggregate=aggregate)
+        oracle = FeasibilityChecker(instance, aggregate=aggregate)
+        rng = np.random.default_rng(draw_seed)
+        anchor = instance.network.capacities()
+        certified = 0
+        for failure in [None, *instance.failures]:
+            result = checker.check(anchor, failure)
+            if result.satisfied:
+                continue
+            certified += 1
+            certificate = result.certificate
+            tight = pytest.approx(result.served_demand, abs=1e-6)
+            assert certificate.bound(anchor) == tight
+            for _ in range(3):
+                capacities = grown(anchor, rng, unit)
+                served = oracle.check(capacities, failure).served_demand
+                assert certificate.bound(capacities) >= served - 1e-9
+        assert certified  # generated instances start under-provisioned
+
+    def test_racing_first_reads_agree(self):
+        """Threads that race to build one certificate all get the same one."""
+        instance = generators.make_instance(
+            "A", seed=0, scale=0.7, horizon="short", capacity_unit=10.0
+        )
+        anchor = instance.network.capacities()
+        scenarios = [None, *instance.failures]
+
+        def violations():
+            checker = FeasibilityChecker(instance)
+            results = [checker.check(anchor, failure) for failure in scenarios]
+            return [result for result in results if not result.satisfied]
+
+        reference = [result.certificate for result in violations()]
+        shared = violations()
+        start = threading.Barrier(16)
+        reads, errors = [], []
+
+        def read_all():
+            try:
+                start.wait(timeout=10)
+                reads.append([result.certificate for result in shared])
+            except Exception as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read_all) for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(reads) == 16
+        assert all(read == reference for read in reads)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        draw_seed=st.integers(0, 2**16),
+        noise=st.sampled_from([0.0, 0.1, 1.0]),
+        drop_capacity_duals=st.booleans(),
+    )
+    def test_any_dual_vector_gives_a_valid_bound(
+        self, draw_seed, noise, drop_capacity_duals
+    ):
+        """The reduced-cost term keeps the bound valid off the optimum.
+
+        Perturbing the solver's duals, or zeroing every capacity-row
+        dual (which moves that row's value into its flows' reduced
+        costs), must never push the bound below the served demand.
+        """
+        instance = generators.make_instance(
+            "A", seed=0, scale=0.7, horizon="short", capacity_unit=10.0
+        )
+        checker = FeasibilityChecker(instance)
+        oracle = FeasibilityChecker(instance)
+        anchor = instance.network.capacities()
+        scenarios = [None, *instance.failures]
+        # The first violated scenario is also the model's last solve.
+        failure = next(f for f in scenarios if not checker.check(anchor, f).satisfied)
+        rng = np.random.default_rng(draw_seed)
+        pi = checker._model.row_duals.values.copy()
+        pi += rng.normal(scale=noise, size=pi.shape)
+        if drop_capacity_duals:
+            pi[checker._cap_rows] = 0.0
+        template = checker._failure_template(failure, None)
+        certificate = checker._certificate(RowDuals(lambda: pi), template)
+        for capacities in [anchor] + [grown(anchor, rng, 10.0) for _ in range(3)]:
+            served = oracle.check(capacities, failure).served_demand
+            assert certificate.bound(capacities) >= served - 1e-9

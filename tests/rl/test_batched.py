@@ -5,7 +5,7 @@ collector produces is bitwise identical to the per-trajectory stream
 backend (the worker pool) for any (seed, epoch, num_envs) — batching is
 a pure throughput optimization, never a behavior change.  Also covered:
 composition with ``num_workers``, the configuration guards, the
-environment's provable LP-skip bound, and the batched distribution.
+environments' duality-certificate LP-skip, and the batched distribution.
 """
 
 import numpy as np
@@ -13,10 +13,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.errors import ConfigError, NNError
 from repro.nn.distributions import BatchedCategorical, Categorical
 from repro.nn.tensor import Tensor
-from repro.rl.batched import BatchedForward, BatchedRolloutCollector
+from repro.rl.batched import (
+    BatchedForward,
+    BatchedPlanningEnv,
+    BatchedRolloutCollector,
+)
 from repro.rl.env import PlanningEnv
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.rollouts import (
@@ -177,55 +182,172 @@ class TestConfigGuards:
 # ----------------------------------------------------------------------
 # The environment's provable LP-skip
 # ----------------------------------------------------------------------
+# The property runs over small topology-A instances: seed, scale and
+# capacity unit vary the violated failures and the certificate slopes;
+# the action seed varies the masked random trajectory.
+skip_instances = st.builds(
+    lambda seed, scale, unit: generators.make_instance(
+        "A", seed=seed, scale=scale, horizon="short", capacity_unit=unit
+    ),
+    seed=st.integers(min_value=0, max_value=5),
+    scale=st.sampled_from([0.5, 0.7, 1.0]),
+    unit=st.sampled_from([5.0, 10.0, 25.0, 50.0]),
+)
+SKIP_ENV = {"max_units_per_step": 4, "max_steps": 64}
+
+
+def lp_solves(batched_env):
+    return sum(evaluator.lp_solves for evaluator in batched_env.evaluators)
+
+
 class TestInfeasibilitySkip:
-    def make_env(self):
-        instance = generators.make_instance(
-            "A", seed=0, scale=0.7, horizon="short", capacity_unit=2.5
+    """The duality-certificate LP-skip changes solve counts, never verdicts.
+
+    Each reference environment has its shortfall bound zeroed before
+    every step, which forces a real LP evaluate each time; the skipping
+    environment must match it bitwise anyway.
+    """
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(instance=skip_instances, action_seed=st.integers(0, 2**16))
+    def test_skip_preserves_trajectory_bitwise(self, instance, action_seed):
+        skipping = PlanningEnv(instance, **SKIP_ENV)
+        reference = PlanningEnv(
+            instance, reward_scale=skipping.reward_scale, **SKIP_ENV
         )
-        return PlanningEnv(instance, max_units_per_step=2, max_steps=40)
-
-    def test_skip_preserves_trajectory_bitwise(self):
-        """The 2x-shortfall bound never changes a verdict, only solves.
-
-        The reference environment has its tracked infeasibility gap
-        zeroed before every step, which forces a real LP evaluate each
-        time; the skipping environment must produce bitwise-identical
-        observations, rewards, and termination anyway — while solving
-        strictly fewer LPs.
-        """
-        skipping, reference = self.make_env(), self.make_env()
         obs_a, obs_b = skipping.reset(), reference.reset()
         assert obs_a.tobytes() == obs_b.tobytes()
-        rng = np.random.default_rng(7)
+        assert not skipping.done  # every drawn instance starts infeasible
+        rng = np.random.default_rng(action_seed)
         done = False
         while not done:
             mask = skipping.action_mask()
             assert mask.tobytes() == reference.action_mask().tobytes()
             action = int(rng.choice(np.flatnonzero(mask)))
-            reference._infeasibility_gap = 0.0  # force a real evaluate
+            reference._shortfall_bound.gap = 0.0  # force a real evaluate
             a = skipping.step(action)
             b = reference.step(action)
             assert a.reward == b.reward
             assert a.done == b.done
+            assert a.feasible == b.feasible
             assert a.observation.tobytes() == b.observation.tobytes()
-            assert skipping.feasible == reference.feasible
-            # The bound is conservative: when the skip path reports a
-            # shortfall it must under-estimate the true one, never
-            # claim infeasibility the LP would not.
-            if not reference.feasible:
-                assert a.info["shortfall"] <= b.info["shortfall"] + 1e-9
+            assert a.info["violated_failure"] == b.info["violated_failure"]
+            # A skipped step reports the bound, which never over-states
+            # the shortfall the LP finds.
+            assert a.info["shortfall"] <= b.info["shortfall"] + 1e-9
             done = a.done
         assert skipping.evaluator.lp_solves < reference.evaluator.lp_solves
 
+    @settings(
+        max_examples=6,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        instance=skip_instances,
+        num_envs=st.sampled_from([1, 4]),
+        action_seed=st.integers(0, 2**16),
+    )
+    def test_batched_skip_preserves_trajectory_bitwise(
+        self, instance, num_envs, action_seed
+    ):
+        skipping = BatchedPlanningEnv(instance, num_envs, **SKIP_ENV)
+        reference = BatchedPlanningEnv(
+            instance,
+            num_envs,
+            reward_scale=skipping.reward_scale,
+            **SKIP_ENV,
+        )
+        skipping.reset_all()
+        reference.reset_all()
+        rng = np.random.default_rng(action_seed)
+        while not skipping.done.all():
+            slots = np.flatnonzero(~skipping.done)
+            assert np.array_equal(slots, np.flatnonzero(~reference.done))
+            masks = skipping.action_masks(slots)
+            assert masks.tobytes() == reference.action_masks(slots).tobytes()
+            actions = [int(rng.choice(np.flatnonzero(mask))) for mask in masks]
+            for bound in reference._shortfall_bounds:
+                bound.gap = 0.0  # force a real evaluate in every slot
+            stepped = skipping.step_slots(slots, actions)
+            assert stepped == reference.step_slots(slots, actions)
+            obs_a, obs_b = skipping.observe(slots), reference.observe(slots)
+            assert obs_a.tobytes() == obs_b.tobytes()
+            assert skipping.feasible.tobytes() == reference.feasible.tobytes()
+            violated = [b.violated for b in skipping._shortfall_bounds]
+            assert violated == [b.violated for b in reference._shortfall_bounds]
+        assert lp_solves(skipping) < lp_solves(reference)
+
     def test_gap_reseeds_after_each_real_evaluate(self):
-        env = self.make_env()
+        instance = generators.make_instance(
+            "A", seed=0, scale=0.7, horizon="short", capacity_unit=10.0
+        )
+        env = PlanningEnv(instance, **SKIP_ENV)
+        evaluations = []
+        evaluate = env.evaluator.evaluate
+
+        def recording_evaluate(capacities):
+            result = evaluate(capacities)
+            evaluations.append((result, dict(capacities)))
+            return result
+
+        env.evaluator.evaluate = recording_evaluate
         env.reset()
-        gap = env._infeasibility_gap
-        assert gap > 0.0  # topology A at 0.7 scale starts infeasible
-        mask = env.action_mask()
-        env.step(int(np.flatnonzero(mask)[0]))
-        # One unit of 2.5 Gbps decays the bound by at most 2 * 2.5.
-        assert env._infeasibility_gap >= gap - 2 * 2.5 * 2 - 1e-9
+        bound = env._shortfall_bound
+        result, capacities = evaluations[-1]
+        # At the anchor the certificate is tight (strong duality).
+        assert bound.gap == pytest.approx(result.shortfall, abs=1e-6)
+        rng = np.random.default_rng(0)
+        skipped = reseeded = 0
+        while not env.done:
+            gap = bound.gap
+            slopes = evaluations[-1][0].certificate.slopes
+            solves = len(evaluations)
+            action = int(rng.choice(np.flatnonzero(env.action_mask())))
+            link_id, units = env.decode_action(action)
+            env.step(action)
+            if len(evaluations) == solves:
+                # A skipped step moves the gap by the link's slope only.
+                amount = units * instance.capacity_unit
+                assert bound.gap == gap - slopes.get(link_id, 0.0) * amount
+                skipped += 1
+            elif not env.feasible:
+                result, capacities = evaluations[-1]
+                certificate = result.certificate
+                reseed = certificate.required_demand - certificate.bound(capacities)
+                assert bound.gap == reseed
+                assert bound.gap <= result.shortfall + 1e-9
+                reseeded += 1
+        assert skipped and reseeded
+
+    def test_skips_counted_only_with_telemetry_enabled(self):
+        instance = generators.make_instance(
+            "A", seed=0, scale=0.7, horizon="short", capacity_unit=10.0
+        )
+        telemetry.disable()
+        telemetry.reset()
+        try:
+            for enabled in (False, True):
+                if enabled:
+                    telemetry.enable()
+                env = PlanningEnv(instance, **SKIP_ENV)
+                env.reset()
+                rng = np.random.default_rng(0)
+                skipped = 0
+                while not env.done:
+                    solves = env.evaluator.lp_solves
+                    env.step(int(rng.choice(np.flatnonzero(env.action_mask()))))
+                    skipped += env.evaluator.lp_solves == solves
+                counted = telemetry.get_registry().counter_value("env.lp_skips")
+                assert skipped > 0
+                assert counted == (skipped if enabled else 0)
+        finally:
+            telemetry.disable()
+            telemetry.reset()
 
 
 # ----------------------------------------------------------------------
