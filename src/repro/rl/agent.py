@@ -48,9 +48,13 @@ def greedy_rollout(
     exact same path a from-scratch rollout would take.
 
     ``act`` replaces the per-step ``policy.distribution(...).mode()``
-    call with ``act(observation, mask) -> int``; the serving coalescer
-    uses this seam to stack concurrent rollout steps into one batched
-    forward whose mode actions are bitwise equal to the serial ones.
+    call with ``act(observation, mask) -> int``.  Every served rollout
+    uses this seam to take its mode actions from the grad-free
+    :class:`~repro.rl.batched.BatchedPolicyEvaluator`, whose actions are
+    bitwise equal to the serial ones: the serving coalescer stacks
+    concurrent steps into one batched forward, and solver-farm backends
+    call their own evaluator.  ``act=None`` keeps the autodiff forward,
+    the independent reference those paths are tested against.
     """
     if start_capacities is None:
         observation = env.reset()

@@ -520,6 +520,16 @@ class BatchedPolicyEvaluator:
         logits = logits.reshape(m, n * self.policy.max_units)
         return logits, self._critic_values(graph)
 
+    def mode_action(self, observation: np.ndarray, mask: np.ndarray) -> int:
+        """The serial ``policy.distribution(...).mode()`` without autodiff.
+
+        One observation runs as a batch of one through :meth:`forward`,
+        whose row is bitwise equal to the serial logits, so the masked
+        argmax picks the same action.  Fits ``greedy_rollout``'s ``act``.
+        """
+        logits, _values = self.forward(observation[None])
+        return int(mode_actions_rows(logits, mask[None])[0])
+
     def _critic_values(self, graph: np.ndarray) -> np.ndarray:
         """Per-slot critic values, fused only once audited bitwise-safe.
 

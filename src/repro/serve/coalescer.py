@@ -27,8 +27,11 @@ manager that tracks how many rollouts are in flight).  Each step calls
 ``act(observation, mask)``:
 
 * **fast path** — when the caller is the only registered rollout and
-  nothing is pending, the serial ``policy.distribution(...).mode()``
-  runs directly; single requests pay ~zero overhead.
+  nothing is pending, the step runs as a batch of one through its
+  group's evaluator (:meth:`BatchedPolicyEvaluator.mode_action`)
+  without queueing, so both paths share one grad-free forward.
+  ``ServiceConfig(batching=False)`` builds no coalescer and keeps the
+  autodiff ``policy.distribution(...).mode()`` as the reference.
 * **coalesced path** — the step enqueues its observation and blocks.
   The first waiter whose entry is still queued becomes the *leader*: it
   waits until every registered rollout is pending (or ``max_batch`` is
@@ -154,7 +157,7 @@ class ForwardCoalescer:
         return group
 
     # -- per-step action --------------------------------------------------
-    def _act(self, group: _Group, adjacency_norm, observation, mask) -> int:
+    def _act(self, group: _Group, observation, mask) -> int:
         with self._cond:
             if self._active <= 1 and not self._pending:
                 self._fastpath += 1
@@ -167,8 +170,7 @@ class ForwardCoalescer:
                 self._cond.notify_all()
         if fast:
             telemetry.counter("serve.batch.fastpath")
-            distribution = self.policy.distribution(observation, adjacency_norm, mask)
-            return distribution.mode()
+            return group.evaluator.mode_action(observation, mask)
         with self._cond:
             while entry.action is None and entry.error is None:
                 if entry.queued and not self._leading:
@@ -260,12 +262,9 @@ class _RolloutRegistration:
     def __enter__(self):
         coalescer = self._coalescer
         group = coalescer._group_for(self._env)
-        adjacency_norm = self._env.adjacency_norm
         with coalescer._cond:
             coalescer._active += 1
-        return lambda observation, mask: coalescer._act(
-            group, adjacency_norm, observation, mask
-        )
+        return lambda observation, mask: coalescer._act(group, observation, mask)
 
     def __exit__(self, exc_type, exc, tb):
         coalescer = self._coalescer

@@ -1,11 +1,13 @@
 """A leasable planning backend: policy + env + persistent warm-basis LP.
 
 One backend is everything needed to turn demands into a first-stage
-plan for one model signature: the loaded policy (shared, read-only —
-the numpy forward is pure), a private :class:`PlanningEnv` whose
-compiled feasibility LP rides the persistent warm-basis HiGHS backend,
-and the drift bookkeeping that lets the farm retarget the LP's demand
-bounds in place instead of rebuilding it per request.
+plan for one model signature: the loaded policy (shared, read-only),
+a grad-free :class:`BatchedPolicyEvaluator` over the env's adjacency
+that picks every rollout step's mode action, a private
+:class:`PlanningEnv` whose compiled feasibility LP rides the persistent
+warm-basis HiGHS backend, and the drift bookkeeping that lets the farm
+retarget the LP's demand bounds in place instead of rebuilding it per
+request.
 
 Construction goes through the serving registry so the expensive bits
 are paid once per signature: the checkpoint load/validation and the
@@ -22,6 +24,7 @@ from dataclasses import replace
 from repro import telemetry
 from repro.planning.plan import NetworkPlan
 from repro.rl.agent import greedy_rollout
+from repro.rl.batched import BatchedPolicyEvaluator
 from repro.rl.env import PlanningEnv
 from repro.serve.registry import ModelKey, ModelRecord, PolicyRegistry
 from repro.solverfarm.replan import BASELINE_FP
@@ -44,6 +47,10 @@ class PlanningBackend:
         self.baseline_traffic = instance.traffic
         self.policy = policy
         self.env = env
+        # Demand drift retargets only the LP; the adjacency is fixed.
+        self.policy_evaluator = BatchedPolicyEvaluator(
+            policy, env.adjacency_norm, env.sparse_adjacency
+        )
         self.record = record
         self.signature = signature
         self.current_fp = BASELINE_FP
@@ -78,7 +85,11 @@ class PlanningBackend:
         start_capacities: "dict[str, float] | None" = None,
     ) -> NetworkPlan:
         return greedy_rollout(
-            self.env, self.policy, max_steps, start_capacities=start_capacities
+            self.env,
+            self.policy,
+            max_steps,
+            start_capacities=start_capacities,
+            act=self.policy_evaluator.mode_action,
         )
 
     def instance_for(self, traffic: "TrafficMatrix | None") -> PlanningInstance:

@@ -5,7 +5,8 @@ collector produces is bitwise identical to the per-trajectory stream
 backend (the worker pool) for any (seed, epoch, num_envs) — batching is
 a pure throughput optimization, never a behavior change.  Also covered:
 composition with ``num_workers``, the configuration guards, the
-environments' duality-certificate LP-skip, and the batched distribution.
+environments' duality-certificate LP-skip, the batch-of-one forward that
+serving takes every rollout step from, and the batched distribution.
 """
 
 import numpy as np
@@ -17,9 +18,11 @@ from repro import telemetry
 from repro.errors import ConfigError, NNError
 from repro.nn.distributions import BatchedCategorical, Categorical
 from repro.nn.tensor import Tensor
+from repro.rl.agent import greedy_rollout
 from repro.rl.batched import (
     BatchedForward,
     BatchedPlanningEnv,
+    BatchedPolicyEvaluator,
     BatchedRolloutCollector,
 )
 from repro.rl.env import PlanningEnv
@@ -348,6 +351,87 @@ class TestInfeasibilitySkip:
         finally:
             telemetry.disable()
             telemetry.reset()
+
+
+# ----------------------------------------------------------------------
+# One row through the evaluator (the serving forward)
+# ----------------------------------------------------------------------
+# Every model shape the serving stack can load: both bands, dense or
+# forced-sparse adjacency, each encoder at 0-2 layers, and both feature
+# sets.  Rollouts are capped so a drawn example stays cheap.
+row_cases = st.fixed_dictionaries(
+    {
+        "topology": st.sampled_from(["A", "B"]),
+        "seed": st.integers(min_value=0, max_value=5),
+        "scale": st.sampled_from([0.3, 0.5, 1.0]),
+        "sparse": st.booleans(),
+        "gnn_type": st.sampled_from(["gcn", "sage", "gat"]),
+        "gnn_layers": st.integers(min_value=0, max_value=2),
+        "max_units": st.integers(min_value=1, max_value=4),
+        "feature_set": st.sampled_from(["capacity", "extended"]),
+    }
+)
+ROW_MAX_STEPS = 24
+
+
+class TestEvaluatorRowParity:
+    """A batch of one through the evaluator is the serial forward.
+
+    Served rollouts take every step's mode action this way, so each
+    logits row must equal the autodiff policy's byte for byte, and a
+    rollout driven by ``mode_action`` must retrace the autodiff one.
+    """
+
+    @settings(
+        max_examples=24,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=row_cases, action_seed=st.integers(0, 2**16))
+    def test_row_matches_autodiff_forward(self, case, action_seed):
+        instance = generators.make_instance(
+            case["topology"],
+            seed=case["seed"],
+            scale=case["scale"],
+            horizon="short",
+        )
+        env = PlanningEnv(
+            instance,
+            max_units_per_step=case["max_units"],
+            max_steps=ROW_MAX_STEPS,
+            feature_set=case["feature_set"],
+            sparse_adjacency=case["sparse"],
+        )
+        policy = ActorCriticPolicy(
+            feature_dim=env.encoder.feature_dim,
+            max_units=case["max_units"],
+            gnn_layers=case["gnn_layers"],
+            gnn_type=case["gnn_type"],
+            rng=case["seed"],
+        )
+        evaluator = BatchedPolicyEvaluator(
+            policy, env.adjacency_norm, env.sparse_adjacency
+        )
+        # Logits rows along a random trajectory, so later observations
+        # carry added capacity, not just the initial network.
+        rng = np.random.default_rng(action_seed)
+        observation = env.reset()
+        while True:
+            serial = policy.action_logits(observation, env.adjacency_norm)
+            logits, _values = evaluator.forward(observation[None])
+            assert logits.shape == (1, serial.data.size)
+            assert logits[0].tobytes() == serial.data.tobytes()
+            mask = env.action_mask()
+            if env.done or not mask.any():
+                break
+            mode = policy.distribution(observation, env.adjacency_norm, mask).mode()
+            assert evaluator.mode_action(observation, mask) == mode
+            step = env.step(int(rng.choice(np.flatnonzero(mask))))
+            observation = step.observation
+        reference = greedy_rollout(env, policy)
+        served = greedy_rollout(env, policy, act=evaluator.mode_action)
+        assert served.capacities == reference.capacities
+        assert served.metadata == reference.metadata
 
 
 # ----------------------------------------------------------------------

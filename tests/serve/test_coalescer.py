@@ -7,7 +7,11 @@ These tests pin that contract and the supporting machinery (fast path,
 batch formation, env pool, zero-copy store wiring).
 """
 
+import os
+import random
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -117,8 +121,8 @@ class TestBitwiseDeterminism:
 
 class TestFastPath:
     def test_single_request_takes_fastpath(self, model_dir):
-        """At concurrency 1 the coalescer passes straight through to
-        the serial forward: zero batches, fastpath counter only."""
+        """At concurrency 1 the coalescer skips the queue and calls its
+        group evaluator directly: zero batches, fastpath counter only."""
         telemetry.enable()
         reference = serial_reference(model_dir)
         config = ServiceConfig(workers=2, cache_size=0, batching=True)
@@ -249,6 +253,77 @@ class TestEnvPool:
         assert stats["batches"] == 0  # alone => pure fast path
         assert stats["fastpath"] > 0
         registry.close()
+
+
+class TestSharedEvaluatorStress:
+    """Fast-path and coalesced steps share each group's evaluator.
+
+    More rollout threads than cores run mixed-seed rollouts with a tiny
+    interpreter switch interval.  Arrivals are spread out so the number
+    of rollouts in flight keeps crossing one: a lone rollout's
+    fast-path forward can still be running when a newcomer leads a
+    batch on the same evaluator (with a zero window it does not wait).
+    Every plan must still be the batching-off reference.
+    """
+
+    ROUNDS = 4
+    ARRIVAL_SPREAD_S = 0.3
+    SEEDS = (0, 1)
+
+    @pytest.mark.parametrize("window_ms", [0.0, 2.0])
+    def test_interleaved_paths_match_serial(self, model_dir, window_ms):
+        references = {
+            seed: serial_reference(model_dir, seed=seed)["plan"] for seed in self.SEEDS
+        }
+        registry = PolicyRegistry(str(model_dir))
+        agents = {seed: registry.agent(KEY, seed=seed)[0] for seed in self.SEEDS}
+        coalescer = ForwardCoalescer(
+            agents[0].policy, window_s=window_ms / 1000.0, max_batch=4
+        )
+        plans, errors = [], []
+        lock = threading.Lock()
+
+        def run(index):
+            rng = random.Random(index)
+            try:
+                for _ in range(self.ROUNDS):
+                    time.sleep(rng.uniform(0.0, self.ARRIVAL_SPREAD_S))
+                    seed = rng.choice(self.SEEDS)
+                    plan = agents[seed].plan(MAX_STEPS, coalescer=coalescer)
+                    with lock:
+                        plans.append((seed, plan.capacities, plan.metadata["steps"]))
+            except Exception as exc:  # surfaced by the asserts below
+                with lock:
+                    errors.append(exc)
+
+        count = 2 * (os.cpu_count() or 1) + 2
+        threads = [
+            threading.Thread(target=run, args=(index,), daemon=True)
+            for index in range(count)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+            alive = [thread for thread in threads if thread.is_alive()]
+            registry.close()
+        assert not alive, f"{len(alive)} rollout threads never finished"
+        assert errors == []
+        assert len(plans) == count * self.ROUNDS
+        for seed, capacities, _steps in plans:
+            assert capacities == references[seed]
+        stats = coalescer.stats()
+        assert stats["fastpath"] > 0
+        assert stats["batches"] > 0
+        assert stats["groups"] == len(self.SEEDS)
+        # Each step is answered exactly once, by one path or the other.
+        steps = sum(entry[2] for entry in plans)
+        assert stats["fastpath"] + stats["coalesced_requests"] == steps
 
 
 @pytest.mark.faultinjection
