@@ -99,6 +99,8 @@ class GATLayer(Module):
 
     Attention logits ``e_ij = LeakyReLU(a_src . W h_i + a_dst . W h_j)``
     are softmax-normalized over each node's neighborhood (plus self-loop).
+    Features are ``(n, f)``, or ``(m, n, f)`` for ``m`` graphs that share
+    one adjacency: each graph then attends only within itself.
     """
 
     def __init__(
@@ -125,10 +127,12 @@ class GATLayer(Module):
         # Any positive entry (including the self-loop added by
         # normalized_adjacency) marks an attendable neighbor.
         mask = np.asarray(adjacency_norm) > 0.0
-        transformed = features @ self.weight  # n x d'
-        src_scores = transformed @ self.attn_src  # n x 1
-        dst_scores = transformed @ self.attn_dst  # n x 1
-        logits = (src_scores + dst_scores.T).leaky_relu(self.negative_slope)
+        transformed = features @ self.weight  # (..., n, d')
+        src_scores = transformed @ self.attn_src  # (..., n, 1)
+        dst_scores = transformed @ self.attn_dst  # (..., n, 1)
+        # (..., 1, n): the transpose of each graph's destination scores.
+        dst_row = dst_scores.reshape(*dst_scores.shape[:-2], 1, -1)
+        logits = (src_scores + dst_row).leaky_relu(self.negative_slope)
         attention = F.masked_log_softmax(logits, mask).exp()
         out = attention @ transformed + self.bias
         return out.relu()

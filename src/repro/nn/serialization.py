@@ -50,8 +50,11 @@ def load_state_dict(module: Module, path: "str | os.PathLike") -> None:
     """Load parameters saved by :func:`save_state_dict` into ``module``."""
     path = _normalize_path(path)
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            state = {name: archive[name] for name in archive.files}
+        # Own the handle: given a path, np.load leaves the file open
+        # when the zip parse of a truncated archive raises.
+        with open(path, "rb") as handle:
+            with np.load(handle, allow_pickle=False) as archive:
+                state = {name: archive[name] for name in archive.files}
     except FileNotFoundError:
         raise NNError(f"no state dict at {path}") from None
     except NNError:

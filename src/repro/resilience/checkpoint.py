@@ -235,8 +235,11 @@ def load_checkpoint(path: "str | os.PathLike") -> TrainingCheckpoint:
     if not path.endswith(".npz") and not os.path.exists(path):
         path += ".npz"
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            data = {name: archive[name] for name in archive.files}
+        # Own the handle: given a path, np.load leaves the file open
+        # when the zip parse of a truncated archive raises.
+        with open(path, "rb") as handle:
+            with np.load(handle, allow_pickle=False) as archive:
+                data = {name: archive[name] for name in archive.files}
     except FileNotFoundError:
         raise CheckpointError(f"no checkpoint at {path}") from None
     except Exception as exc:

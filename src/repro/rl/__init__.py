@@ -8,15 +8,14 @@
   heads (Fig. 6).
 - :mod:`repro.rl.gae` -- GAE(lambda) advantages (Eq. 6) and
   rewards-to-go.
-- :mod:`repro.rl.buffer` -- the epoch buffer of Algorithm 1.
 - :mod:`repro.rl.rollouts` -- trajectory collection: a serial backend
   (byte-identical to the legacy inline loops) and a multiprocessing
   worker pool whose merged batches are bitwise independent of worker
   count and scheduling.
 - :mod:`repro.rl.batched` -- batched multi-environment collection
   (``num_envs`` lockstep environments share one policy forward) and the
-  block-diagonal batched training forward; merged batches are bitwise
-  identical to the worker-pool backend for any ``num_envs``.
+  batched training forward every update differentiates; merged batches
+  are bitwise identical to the worker-pool backend for any ``num_envs``.
 - :mod:`repro.rl.a2c` -- the actor-critic trainer.
 - :mod:`repro.rl.agent` -- the train/rollout facade that produces the
   first-stage plan.
@@ -26,7 +25,6 @@ from repro.rl.env import PlanningEnv, StepResult
 from repro.rl.state import StateEncoder
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.gae import discounted_returns, gae_advantages
-from repro.rl.buffer import EpochBuffer
 from repro.rl.rollouts import (
     Fragment,
     ParallelRolloutCollector,
@@ -64,7 +62,6 @@ __all__ = [
     "ActorCriticPolicy",
     "gae_advantages",
     "discounted_returns",
-    "EpochBuffer",
     "A2CConfig",
     "A2CTrainer",
     "TrainingResult",

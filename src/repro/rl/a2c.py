@@ -1,7 +1,7 @@
 """The actor-critic trainer (Algorithm 1 of the paper).
 
-Per epoch: sample trajectories with the current actor into the epoch
-buffer; compute the policy-gradient loss from GAE(lambda) advantages and
+Per epoch: sample trajectories with the current actor into a rollout
+batch; compute the policy-gradient loss from GAE(lambda) advantages and
 update the actor (and shared GNN); compute the value loss from
 rewards-to-go and update the critic (and shared GNN) -- exactly the
 ComputePLoss / ComputeVLoss split of the pseudocode, including the two
@@ -24,7 +24,6 @@ from repro.nn import functional as F
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.rl.batched import BatchedForward
-from repro.rl.buffer import EpochBuffer
 from repro.rl.checkpointing import CheckpointingTrainer
 from repro.rl.env import PlanningEnv
 from repro.rl.gae import discounted_returns, gae_advantages
@@ -114,14 +113,7 @@ class A2CTrainer(CheckpointingTrainer):
         self.critic_optimizer = Adam(groups["critic"], lr=self.config.critic_lr)
         self.rng = as_generator(self.config.seed)
         self._collector = None
-        # Built on demand for num_envs > 1: one autodiff graph over the
-        # whole epoch instead of one per transition (also validates the
-        # gnn_type restriction up front).
-        self._batched_forward = (
-            BatchedForward(policy, env.adjacency_norm)
-            if self.config.num_envs > 1
-            else None
-        )
+        self._batched_forward = BatchedForward(policy, env.adjacency_norm)
 
     # ------------------------------------------------------------------
     def train(self) -> TrainingResult:
@@ -173,7 +165,6 @@ class A2CTrainer(CheckpointingTrainer):
 
     def _train_epochs(self) -> tuple:
         config = self.config
-        env = self.env
         best_capacities: "dict[str, float] | None" = None
         best_cost = float("inf")
         history: list[dict] = []
@@ -204,67 +195,29 @@ class A2CTrainer(CheckpointingTrainer):
                     best_cost = fragment.plan_cost
                     best_capacities = fragment.capacities
 
-            if config.num_envs > 1:
-                # One batched re-evaluation over the whole epoch (block-
-                # diagonal adjacency) replaces the per-transition graphs.
-                metrics = self._update_batched(batch)
-                fragments = batch.fragments
-                rewards = [
-                    sum(t.reward for t in fragment.transitions)
-                    for fragment in fragments
-                ]
-                epoch_reward = float(np.mean(rewards)) if rewards else 0.0
-                completion_rate = (
+            metrics = self._update(batch)
+            fragments = batch.fragments
+            rewards = [
+                sum(t.reward for t in fragment.transitions) for fragment in fragments
+            ]
+            entry = {
+                "epoch": epoch,
+                # Mean total reward per trajectory (the Fig. 11/12 y-axis).
+                "epoch_reward": float(np.mean(rewards)) if rewards else 0.0,
+                "completion_rate": (
                     float(np.mean([f.completed for f in fragments]))
                     if fragments
                     else 0.0
-                )
-                num_trajectories = len(fragments)
-                num_steps = batch.num_steps
-            else:
-                # Re-evaluate the collected states under the current
-                # (same) parameters to build the live autodiff graph the
-                # two-loss update differentiates; collection itself runs
-                # grad-free (and possibly out of process).
-                buffer = EpochBuffer()
-                for fragment in batch.fragments:
-                    buffer.start_trajectory()
-                    for transition in fragment.transitions:
-                        distribution, value = self.policy(
-                            transition.observation,
-                            env.adjacency_norm,
-                            transition.mask,
-                        )
-                        buffer.append(
-                            distribution.log_prob(transition.action),
-                            distribution.entropy(),
-                            value,
-                            transition.reward,
-                        )
-                    buffer.finish_trajectory(
-                        completed=fragment.completed,
-                        bootstrap_value=fragment.final_value,
-                    )
-
-                metrics = self._update(buffer)
-                epoch_reward = buffer.epoch_reward
-                completion_rate = buffer.completion_rate
-                num_trajectories = buffer.num_trajectories
-                num_steps = buffer.num_steps
-
-            entry = {
-                "epoch": epoch,
-                "epoch_reward": epoch_reward,
-                "completion_rate": completion_rate,
-                "num_trajectories": num_trajectories,
+                ),
+                "num_trajectories": len(fragments),
                 "best_cost": best_cost if best_capacities else None,
                 **metrics,
             }
             history.append(entry)
             if telemetry.enabled():
                 telemetry.counter("rl.a2c.epochs")
-                telemetry.counter("rl.env_steps", num_steps)
-                telemetry.counter("rl.episodes", num_trajectories)
+                telemetry.counter("rl.env_steps", batch.num_steps)
+                telemetry.counter("rl.episodes", len(fragments))
                 telemetry.event("rl.a2c.epoch", **entry)
 
             # Early stopping on stagnation of the best plan.
@@ -285,76 +238,11 @@ class A2CTrainer(CheckpointingTrainer):
         return history, best_cost, best_capacities
 
     # ------------------------------------------------------------------
-    def _update(self, buffer: EpochBuffer) -> dict:
-        """One ComputePLoss/ComputeVLoss update pair (Algorithm 1)."""
-        config = self.config
-        if buffer.num_steps == 0:
-            return {"policy_loss": 0.0, "value_loss": 0.0}
+    def _update(self, batch: RolloutBatch) -> dict:
+        """One ComputePLoss/ComputeVLoss update pair (Algorithm 1).
 
-        all_log_probs, all_entropies, all_values = [], [], []
-        all_advantages, all_returns = [], []
-        for trajectory in buffer.trajectories:
-            values = np.array([v.item() for v in trajectory.values])
-            rewards = np.array(trajectory.rewards)
-            advantages = gae_advantages(
-                rewards,
-                values,
-                config.gamma,
-                config.gae_lambda,
-                bootstrap_value=trajectory.bootstrap_value,
-            )
-            returns = discounted_returns(
-                rewards, config.gamma, bootstrap_value=trajectory.bootstrap_value
-            )
-            all_log_probs.extend(trajectory.log_probs)
-            all_entropies.extend(trajectory.entropies)
-            all_values.extend(trajectory.values)
-            all_advantages.append(advantages)
-            all_returns.append(returns)
-
-        advantages = np.concatenate(all_advantages)
-        returns = np.concatenate(all_returns)
-        if config.normalize_advantages and len(advantages) > 1:
-            advantages = (advantages - advantages.mean()) / (
-                advantages.std() + 1e-8
-            )
-
-        log_probs = Tensor.stack(all_log_probs)
-        entropies = Tensor.stack(all_entropies)
-        values = Tensor.stack(all_values)
-
-        # -- ComputePLoss: update actor + shared GNN --
-        policy_loss = -(log_probs * Tensor(advantages)).mean()
-        entropy_bonus = entropies.mean()
-        actor_objective = policy_loss - config.entropy_coef * entropy_bonus
-        self.actor_optimizer.zero_grad()
-        self.critic_optimizer.zero_grad()
-        actor_objective.backward()
-        self.actor_optimizer.clip_grad_norm(config.max_grad_norm)
-        self.actor_optimizer.step()
-
-        # -- ComputeVLoss: update critic + shared GNN --
-        value_loss = F.mse_loss(values, returns)
-        self.actor_optimizer.zero_grad()
-        self.critic_optimizer.zero_grad()
-        value_loss.backward()
-        self.critic_optimizer.clip_grad_norm(config.max_grad_norm)
-        self.critic_optimizer.step()
-
-        return {
-            "policy_loss": policy_loss.item(),
-            "value_loss": value_loss.item(),
-            "entropy": entropy_bonus.item(),
-        }
-
-    # ------------------------------------------------------------------
-    def _update_batched(self, batch: RolloutBatch) -> dict:
-        """The Algorithm 1 update over one batched forward (num_envs > 1).
-
-        Same two-loss split and the same GAE arithmetic as
-        :meth:`_update`, but log-probs, entropies and values for every
-        collected transition come from a single block-diagonal graph
-        forward instead of one tiny graph per transition.
+        Log-probs, entropies and values for every collected transition
+        come from a single batched graph forward, at every ``num_envs``.
         """
         config = self.config
         steps = batch.transitions()

@@ -14,11 +14,12 @@ environment:
 - :class:`BatchedPolicyEvaluator` is the grad-free collection forward:
   one pass over the stacked node features produces every slot's action
   log-probabilities and value.
-- :class:`BatchedForward` is the differentiable training-side twin used
-  by the A2C/PPO update when ``num_envs > 1``: one batched forward and
-  backward over all collected transitions through a shared
-  block-diagonal CSR adjacency (``Tensor.sparse_matmul``), instead of
-  one tiny autodiff graph per transition.
+- :class:`BatchedForward` is the differentiable training-side twin that
+  every A2C/PPO update takes its log-probs, entropies and values from,
+  at any ``num_envs``: one batched forward and backward over all
+  collected transitions through a shared block-diagonal CSR adjacency
+  (``Tensor.sparse_matmul``), instead of one tiny autodiff graph per
+  transition.
 - :class:`BatchedRolloutCollector` drives groups of ``K`` streams in
   lockstep and merges their fragments in stream order.
 
@@ -979,34 +980,34 @@ class BatchedRolloutCollector:
 class BatchedForward:
     """One autodiff forward over a whole epoch of collected transitions.
 
-    Training has no bitwise-parity obligation (the ``num_envs > 1``
-    update is its own mode), so this path uses full batched gemms and a
-    shared block-diagonal CSR adjacency through
-    :meth:`Tensor.sparse_matmul` — one graph for all ``T`` transitions
-    instead of ``T`` per-step graphs.
+    Training owes no bitwise parity to the serial forward: collection
+    fixes the trajectories, and the update's sums differ from
+    per-transition graphs only in order.  So this path uses full batched
+    gemms and a shared block-diagonal CSR adjacency through
+    :meth:`Tensor.sparse_matmul` — one graph for all ``m`` transitions
+    instead of ``m`` per-step graphs.  GAT is the exception, because
+    its attention is all-pairs within a graph: its layers take the
+    ``(m, n, f)`` stack and the shared ``(n, n)`` neighbourhood, O(m·n²)
+    memory like the ``m`` per-step graphs it replaces.
     """
 
     def __init__(self, policy: ActorCriticPolicy, adjacency_norm):
-        encoder = policy.encoder
-        if encoder.num_layers > 0 and encoder.gnn_type == "gat":
-            raise ConfigError(
-                "num_envs > 1 does not support gnn_type='gat': all-pairs "
-                "attention over a block-diagonal batch densifies to "
-                "O((K*n)^2); use gcn or sage, or num_envs=1"
-            )
         self.policy = policy
         if sp.issparse(adjacency_norm):
             self._adjacency = adjacency_norm.tocsr()
         else:
             self._adjacency = sp.csr_matrix(adjacency_norm)
-        self._blocks: dict[int, sp.csr_matrix] = {}
+        # Only the latest size is kept: PPO re-evaluates one batch per
+        # iteration, and epoch sizes vary when collection stops early.
+        self._last_block: "tuple[int, sp.csr_matrix] | None" = None
 
     def _block(self, m: int) -> sp.csr_matrix:
-        if m not in self._blocks:
-            self._blocks[m] = sp.block_diag(
-                [self._adjacency] * m, format="csr"
+        if self._last_block is None or self._last_block[0] != m:
+            operator = sp.kron(
+                sp.identity(m, format="csr"), self._adjacency, format="csr"
             )
-        return self._blocks[m]
+            self._last_block = (m, operator)
+        return self._last_block[1]
 
     def evaluate(
         self,
@@ -1016,8 +1017,13 @@ class BatchedForward:
     ) -> tuple[Tensor, Tensor, Tensor]:
         """(log_probs (m,), entropies (m,), values (m,)), differentiable."""
         m, n, f = observations.shape
-        flat = Tensor(observations.reshape(m * n, f))
-        embeddings = self.policy.encoder(flat, self._block(m))
+        encoder = self.policy.encoder
+        if encoder.num_layers > 0 and encoder.gnn_type == "gat":
+            stacked = encoder(Tensor(observations), self._adjacency)
+            embeddings = stacked.reshape(m * n, encoder.out_features)
+        else:
+            flat = Tensor(observations.reshape(m * n, f))
+            embeddings = encoder(flat, self._block(m))
         hidden = embeddings.shape[1]
         graph = embeddings.reshape(m, n, hidden).mean(axis=1)
         tiled = graph.gather_rows(np.repeat(np.arange(m), n))

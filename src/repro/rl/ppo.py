@@ -111,13 +111,7 @@ class PPOTrainer(CheckpointingTrainer):
         self.optimizer = Adam(list(seen.values()), lr=self.config.lr)
         self.rng = as_generator(self.config.seed)
         self._collector = None
-        # One autodiff graph per PPO iteration instead of one per
-        # transition when num_envs > 1 (also validates gnn_type up front).
-        self._batched_forward = (
-            BatchedForward(policy, env.adjacency_norm)
-            if self.config.num_envs > 1
-            else None
-        )
+        self._batched_forward = BatchedForward(policy, env.adjacency_norm)
 
     def _optimizers(self) -> dict:
         return {"optimizer": self.optimizer}
@@ -240,41 +234,24 @@ class PPOTrainer(CheckpointingTrainer):
             )
         return advantages, returns
 
-    def _evaluate_steps(self, steps) -> tuple:
-        """(log_probs, entropies, values) Tensors under current params.
-
-        ``num_envs == 1`` keeps the legacy per-transition graphs (byte-
-        identical results); ``num_envs > 1`` builds one block-diagonal
-        graph over every transition at once.
-        """
-        if self._batched_forward is not None:
-            observations = np.stack([s.observation for s in steps])
-            masks = np.stack([s.mask for s in steps])
-            actions = np.array([s.action for s in steps], dtype=np.int64)
-            return self._batched_forward.evaluate(observations, masks, actions)
-        log_probs, entropies, values = [], [], []
-        for step in steps:
-            distribution, value = self.policy(
-                step.observation, self.env.adjacency_norm, step.mask
-            )
-            log_probs.append(distribution.log_prob(step.action))
-            entropies.append(distribution.entropy())
-            values.append(value)
-        return (
-            Tensor.stack(log_probs),
-            Tensor.stack(entropies),
-            Tensor.stack(values),
-        )
-
     def _update(self, steps, advantages, returns) -> dict:
-        """Clipped-surrogate updates with KL early stopping."""
+        """Clipped-surrogate updates with KL early stopping.
+
+        Each iteration re-evaluates every transition under the current
+        parameters as one batched graph forward.
+        """
         config = self.config
+        observations = np.stack([s.observation for s in steps])
+        masks = np.stack([s.mask for s in steps])
+        actions = np.array([s.action for s in steps], dtype=np.int64)
+        old_log_probs = np.array([s.log_prob for s in steps])
         last_policy_loss = 0.0
         last_value_loss = 0.0
         kl = 0.0
         for iteration in range(config.update_iterations):
-            log_probs_t, entropies_t, values_t = self._evaluate_steps(steps)
-            old_log_probs = np.array([s.log_prob for s in steps])
+            log_probs_t, entropies_t, values_t = self._batched_forward.evaluate(
+                observations, masks, actions
+            )
 
             kl = float(np.mean(old_log_probs - log_probs_t.data))
             if iteration > 0 and kl > config.target_kl:

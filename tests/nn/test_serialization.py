@@ -7,6 +7,8 @@ file.  Both directions now normalize the suffix, writes are atomic, and
 corrupt archives surface as a typed :class:`NNError`.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -48,8 +50,8 @@ class TestCrashSafety:
 
     def test_corrupt_archive_raises_nnerror(self, tmp_path):
         path = save_state_dict(fresh(), tmp_path / "ckpt")
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[: len(data) // 2])
+        data = Path(path).read_bytes()
+        Path(path).write_bytes(data[: len(data) // 2])
         with pytest.raises(NNError, match="truncated or corrupt"):
             load_state_dict(fresh(1), path)
 

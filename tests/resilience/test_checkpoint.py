@@ -1,6 +1,7 @@
 """Tests for the checkpoint format (repro.resilience.checkpoint)."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,8 +115,8 @@ class TestIntegrity:
     def test_truncated_file(self, tmp_path):
         ckpt, _, _, _ = make_checkpoint()
         path = save_checkpoint(ckpt, tmp_path / "ckpt.npz")
-        data = open(path, "rb").read()
-        open(path, "wb").write(data[: len(data) // 2])
+        data = Path(path).read_bytes()
+        Path(path).write_bytes(data[: len(data) // 2])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
@@ -145,14 +146,14 @@ class TestIntegrity:
     def test_interrupted_write_keeps_previous_file(self, tmp_path):
         ckpt, _, _, _ = make_checkpoint(epoch=3)
         path = save_checkpoint(ckpt, tmp_path / "ckpt.npz")
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
 
         later, _, _, _ = make_checkpoint(epoch=4, seed=1)
         faults.install("checkpoint.write@4")
         with pytest.raises(CheckpointError, match="injected fault"):
             save_checkpoint(later, path)
         faults.clear()
-        assert open(path, "rb").read() == before  # old file untouched
+        assert Path(path).read_bytes() == before  # old file untouched
         assert load_checkpoint(path).epoch == 3
 
 
@@ -174,7 +175,7 @@ class TestDirectories:
             ckpt, _, _, _ = make_checkpoint(epoch=epoch)
             write_epoch_checkpoint(ckpt, tmp_path)
         newest = epoch_checkpoint_path(tmp_path, 2)
-        open(newest, "wb").write(b"garbage")
+        Path(newest).write_bytes(b"garbage")
         assert load_latest_checkpoint(tmp_path).epoch == 1
 
     def test_latest_with_nothing_valid(self, tmp_path):

@@ -15,6 +15,11 @@ from repro.topology import datasets
 
 EPOCHS = 4
 STOP_AT = 2  # the "interrupted" run's checkpoint boundary
+# Scaled-out collection: a worker pool, and lockstep batched envs.
+SCALE_OUT = {
+    "workers": dict(num_workers=2, rollout_backend="parallel"),
+    "envs": dict(num_envs=4),
+}
 
 
 def fresh_env():
@@ -56,11 +61,11 @@ class TestA2CResume:
         assert_same_result(resumed, control)
 
     def test_parallel_resume_bitwise(self, tmp_path):
-        kw = dict(num_workers=2, rollout_backend="parallel")
-        control = self.train(EPOCHS, **kw)
-        self.train(STOP_AT, ckpt_dir=tmp_path, **kw)
-        resumed = self.train(EPOCHS, resume=tmp_path, **kw)
-        assert_same_result(resumed, control)
+        for name, kw in SCALE_OUT.items():
+            control = self.train(EPOCHS, **kw)
+            self.train(STOP_AT, ckpt_dir=tmp_path / name, **kw)
+            resumed = self.train(EPOCHS, resume=tmp_path / name, **kw)
+            assert_same_result(resumed, control)
 
     def test_resume_from_explicit_file(self, tmp_path):
         control = self.train(EPOCHS)
@@ -137,11 +142,11 @@ class TestPPOResume:
         assert_same_result(resumed, control)
 
     def test_parallel_resume_bitwise(self, tmp_path):
-        kw = dict(num_workers=2, rollout_backend="parallel")
-        control = self.train(EPOCHS, **kw)
-        self.train(STOP_AT, ckpt_dir=tmp_path, **kw)
-        resumed = self.train(EPOCHS, resume=tmp_path, **kw)
-        assert_same_result(resumed, control)
+        for name, kw in SCALE_OUT.items():
+            control = self.train(EPOCHS, **kw)
+            self.train(STOP_AT, ckpt_dir=tmp_path / name, **kw)
+            resumed = self.train(EPOCHS, resume=tmp_path / name, **kw)
+            assert_same_result(resumed, control)
 
     def test_config_guards(self):
         with pytest.raises(ConfigError, match="needs a checkpoint_dir"):

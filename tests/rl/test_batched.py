@@ -4,13 +4,15 @@ The load-bearing contract: the merged trajectory stream a batched
 collector produces is bitwise identical to the per-trajectory stream
 backend (the worker pool) for any (seed, epoch, num_envs) — batching is
 a pure throughput optimization, never a behavior change.  Also covered:
-composition with ``num_workers``, the configuration guards, the
-environments' duality-certificate LP-skip, the batch-of-one forward that
-serving takes every rollout step from, and the batched distribution.
+composition with ``num_workers``, the configuration guards, the one
+batched forward every A2C/PPO update differentiates, the environments'
+duality-certificate LP-skip, the batch-of-one forward that serving takes
+every rollout step from, and the batched distribution.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,7 @@ from repro import telemetry
 from repro.errors import ConfigError, NNError
 from repro.nn.distributions import BatchedCategorical, Categorical
 from repro.nn.tensor import Tensor
+from repro.rl.a2c import A2CConfig, A2CTrainer
 from repro.rl.agent import greedy_rollout
 from repro.rl.batched import (
     BatchedForward,
@@ -27,8 +30,10 @@ from repro.rl.batched import (
 )
 from repro.rl.env import PlanningEnv
 from repro.rl.policy import ActorCriticPolicy
+from repro.rl.ppo import PPOConfig, PPOTrainer
 from repro.rl.rollouts import (
     ParallelRolloutCollector,
+    SerialRolloutCollector,
     make_collector,
     resolve_backend,
 )
@@ -175,11 +180,210 @@ class TestConfigGuards:
         with pytest.raises(ConfigError, match="num_envs"):
             resolve_backend("auto", 1, 0)
 
-    def test_gat_rejected_by_batched_update(self):
-        policy = fresh_policy(gnn_type="gat")
+
+# ----------------------------------------------------------------------
+# The update's one forward
+# ----------------------------------------------------------------------
+# Every model shape a trainer updates: both bands at three scales plus
+# C@1.0 (sparse by default), dense or forced-sparse adjacency, each
+# encoder at 0-2 layers, and 1-4 units per action.
+update_cases = st.fixed_dictionaries(
+    {
+        "instance": st.one_of(
+            st.tuples(st.sampled_from(["A", "B"]), st.sampled_from([0.3, 0.5, 1.0])),
+            st.just(("C", 1.0)),
+        ),
+        "seed": st.integers(min_value=0, max_value=5),
+        "sparse": st.booleans(),
+        "gnn_type": st.sampled_from(["gcn", "sage", "gat"]),
+        "gnn_layers": st.integers(min_value=0, max_value=2),
+        "max_units": st.integers(min_value=1, max_value=4),
+    }
+)
+UPDATE_TRANSITIONS = 200
+TRAINERS = {"a2c": (A2CTrainer, A2CConfig), "ppo": (PPOTrainer, PPOConfig)}
+
+
+def random_transitions(env, rng, count):
+    """``count`` stacked (observation, mask, action) rows along masked
+    random trajectories, restarting the env whenever one ends."""
+    observations, masks, actions = [], [], []
+    observation = env.reset()
+    while len(actions) < count:
+        mask = env.action_mask()
+        if env.done or not mask.any():
+            observation = env.reset()
+            continue
+        action = int(rng.choice(np.flatnonzero(mask)))
+        observations.append(observation)
+        masks.append(mask)
+        actions.append(action)
+        observation = env.step(action).observation
+    return np.stack(observations), np.stack(masks), np.array(actions)
+
+
+def outputs_and_gradients(policy, forward, weights):
+    """A forward's (log_probs, entropies, values) and the parameter
+    gradients of a fixed random combination of all three."""
+    outputs = forward()
+    loss = sum((out * Tensor(w)).sum() for out, w in zip(outputs, weights))
+    policy.zero_grad()
+    loss.backward()
+    return (
+        [out.data for out in outputs],
+        [param.grad for param in policy.parameters()],
+    )
+
+
+class TestBatchedUpdate:
+    """Every A2C/PPO update differentiates one batched forward.
+
+    ``BatchedForward.evaluate`` sums in another order than one graph
+    per transition does, so it is held to the per-transition autodiff
+    forward within float64 tolerances fixed up front, not to its bits.
+    """
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=update_cases, action_seed=st.integers(0, 2**16))
+    def test_matches_per_transition_reference(self, case, action_seed):
+        topology, scale = case["instance"]
+        instance = generators.make_instance(
+            topology, seed=case["seed"], scale=scale, horizon="short"
+        )
+        env = PlanningEnv(
+            instance,
+            max_units_per_step=case["max_units"],
+            max_steps=64,
+            sparse_adjacency=True if case["sparse"] else None,
+        )
+        policy = ActorCriticPolicy(
+            feature_dim=env.encoder.feature_dim,
+            max_units=case["max_units"],
+            gnn_layers=case["gnn_layers"],
+            gnn_type=case["gnn_type"],
+            rng=case["seed"],
+        )
+        rng = np.random.default_rng(action_seed)
+        observations, masks, actions = random_transitions(env, rng, UPDATE_TRANSITIONS)
+        weights = rng.normal(size=(3, len(actions)))
+
+        # The reference propagates through the CSR adjacency the batched
+        # forward uses.  A dense gemm can round a pre-activation that is
+        # exactly 0 by symmetry (standardized features) to 1e-17, which
+        # flips ReLU's subgradient: a change of kink, not of arithmetic.
+        adjacency = sp.csr_matrix(env.adjacency_norm)
+
+        def per_transition():
+            rows = [
+                policy(observation, adjacency, mask)
+                for observation, mask in zip(observations, masks)
+            ]
+            return (
+                Tensor.stack([d.log_prob(a) for (d, _), a in zip(rows, actions)]),
+                Tensor.stack([d.entropy() for d, _ in rows]),
+                Tensor.stack([value for _, value in rows]),
+            )
+
+        batched = BatchedForward(policy, env.adjacency_norm)
+        got, got_grads = outputs_and_gradients(
+            policy,
+            lambda: batched.evaluate(observations, masks, actions),
+            weights,
+        )
+        want, want_grads = outputs_and_gradients(policy, per_transition, weights)
+        for batched_out, reference in zip(got, want):
+            np.testing.assert_allclose(batched_out, reference, rtol=0, atol=1e-12)
+        # Relative to the whole gradient's largest entry: a parameter
+        # whose exact gradient is 0 (the last actor bias at max_units=1
+        # shifts every logit alike) carries no relative precision.
+        scale = max(np.abs(reference).max() for reference in want_grads)
+        for batched_grad, reference in zip(got_grads, want_grads):
+            assert np.abs(batched_grad - reference).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("algo", sorted(TRAINERS))
+    def test_update_runs_no_per_transition_forward(self, algo, monkeypatch):
+        """At num_envs=1 the autodiff forward runs in collection only."""
+        calls = {"collect": 0, "elsewhere": 0}
+        collecting = [False]
+        evaluated_rows = []
+        forward = ActorCriticPolicy.forward
+        collect = SerialRolloutCollector.collect
+        evaluate = BatchedForward.evaluate
+
+        def counted_forward(self, *args, **kwargs):
+            calls["collect" if collecting[0] else "elsewhere"] += 1
+            return forward(self, *args, **kwargs)
+
+        def flagged_collect(self, *args, **kwargs):
+            collecting[0] = True
+            try:
+                return collect(self, *args, **kwargs)
+            finally:
+                collecting[0] = False
+
+        def recorded_evaluate(self, observations, masks, actions):
+            evaluated_rows.append(len(actions))
+            return evaluate(self, observations, masks, actions)
+
+        monkeypatch.setattr(ActorCriticPolicy, "forward", counted_forward)
+        monkeypatch.setattr(SerialRolloutCollector, "collect", flagged_collect)
+        monkeypatch.setattr(BatchedForward, "evaluate", recorded_evaluate)
+        trainer_cls, config_cls = TRAINERS[algo]
+        config = config_cls(
+            epochs=1,
+            steps_per_epoch=BUDGET,
+            max_trajectory_length=MAX_TRAJECTORY,
+            seed=0,
+        )
+        trainer_cls(fresh_env(), fresh_policy(), config).train()
+        assert calls["elsewhere"] == 0
+        # One collection forward per transition, and every batched
+        # evaluation covers all of them at once.
+        assert calls["collect"] > 0
+        assert evaluated_rows
+        assert set(evaluated_rows) == {calls["collect"]}
+
+    def test_gat_trains_at_every_num_envs(self):
+        for algo, (trainer_cls, config_cls) in sorted(TRAINERS.items()):
+            for num_envs in (1, 2):
+                policy = fresh_policy(gnn_type="gat")
+                before = {k: v.copy() for k, v in policy.state_dict().items()}
+                config = config_cls(
+                    epochs=2,
+                    steps_per_epoch=BUDGET,
+                    max_trajectory_length=MAX_TRAJECTORY,
+                    num_envs=num_envs,
+                    seed=0,
+                )
+                result = trainer_cls(fresh_env(), policy, config).train()
+                assert result.epochs_run == 2, (algo, num_envs)
+                for entry in result.history:
+                    assert np.isfinite(entry["policy_loss"]), (algo, num_envs)
+                    assert np.isfinite(entry["value_loss"]), (algo, num_envs)
+                after = policy.state_dict()
+                encoder = [k for k in before if k.startswith("encoder.")]
+                moved = [k for k in encoder if not np.array_equal(before[k], after[k])]
+                assert moved, (algo, num_envs)
+
+    def test_holds_only_the_latest_block_operator(self):
         env = fresh_env()
-        with pytest.raises(ConfigError, match="gat"):
-            BatchedForward(policy, env.adjacency_norm)
+        n = env.adjacency_norm.shape[0]
+        forward = BatchedForward(fresh_policy(), env.adjacency_norm)
+        observations, masks, actions = random_transitions(
+            env, np.random.default_rng(0), 7
+        )
+        for m in (7, 3):
+            forward.evaluate(observations[:m], masks[:m], actions[:m])
+        size, operator = forward._last_block
+        assert size == 3 and operator.shape == (3 * n, 3 * n)
+        reference = sp.block_diag([sp.csr_matrix(env.adjacency_norm)] * 3, format="csr")
+        for field in ("indptr", "indices", "data"):
+            got, want = getattr(operator, field), getattr(reference, field)
+            assert got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,10 @@
-"""Tests for the actor-critic policy, state encoder, and epoch buffer."""
+"""Tests for the actor-critic policy and the state encoder."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError, NNError
 from repro.nn.gnn import normalized_adjacency
-from repro.nn.tensor import Tensor
-from repro.rl.buffer import EpochBuffer
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.state import StateEncoder
 from repro.topology import generators
@@ -117,61 +115,3 @@ class TestActorCriticPolicy:
         with pytest.raises(NNError):
             ActorCriticPolicy(feature_dim=1, max_units=0)
 
-
-class TestEpochBuffer:
-    @staticmethod
-    def scalar(value: float) -> Tensor:
-        return Tensor(np.array(value))
-
-    def test_records_trajectories(self):
-        buffer = EpochBuffer()
-        buffer.start_trajectory()
-        buffer.append(self.scalar(-0.1), self.scalar(0.5), self.scalar(0.0), -0.2)
-        buffer.append(self.scalar(-0.2), self.scalar(0.4), self.scalar(0.1), -0.3)
-        buffer.finish_trajectory(completed=True)
-        assert buffer.num_trajectories == 1
-        assert buffer.num_steps == 2
-        assert buffer.trajectories[0].total_reward == pytest.approx(-0.5)
-        assert buffer.completion_rate == 1.0
-
-    def test_epoch_reward_averages_trajectories(self):
-        buffer = EpochBuffer()
-        for reward in (-1.0, -3.0):
-            buffer.start_trajectory()
-            buffer.append(self.scalar(0), self.scalar(0), self.scalar(0), reward)
-            buffer.finish_trajectory(completed=False)
-        assert buffer.epoch_reward == pytest.approx(-2.0)
-
-    def test_empty_trajectory_dropped(self):
-        buffer = EpochBuffer()
-        buffer.start_trajectory()
-        buffer.finish_trajectory(completed=False)
-        assert buffer.num_trajectories == 0
-
-    def test_append_without_start_raises(self):
-        buffer = EpochBuffer()
-        with pytest.raises(ConfigError):
-            buffer.append(self.scalar(0), self.scalar(0), self.scalar(0), 0.0)
-
-    def test_unfinished_trajectory_guard(self):
-        buffer = EpochBuffer()
-        buffer.start_trajectory()
-        buffer.append(self.scalar(0), self.scalar(0), self.scalar(0), 0.0)
-        with pytest.raises(ConfigError):
-            buffer.start_trajectory()
-
-    def test_bootstrap_recorded(self):
-        buffer = EpochBuffer()
-        buffer.start_trajectory()
-        buffer.append(self.scalar(0), self.scalar(0), self.scalar(0), -0.1)
-        buffer.finish_trajectory(completed=False, bootstrap_value=-0.4)
-        assert buffer.trajectories[0].bootstrap_value == pytest.approx(-0.4)
-
-    def test_clear(self):
-        buffer = EpochBuffer()
-        buffer.start_trajectory()
-        buffer.append(self.scalar(0), self.scalar(0), self.scalar(0), 0.0)
-        buffer.finish_trajectory(completed=False)
-        buffer.clear()
-        assert buffer.num_trajectories == 0
-        assert buffer.epoch_reward == 0.0
