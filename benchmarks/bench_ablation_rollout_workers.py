@@ -2,10 +2,11 @@
 
 The paper's Fig. 9 scalability story assumes trajectories are gathered
 from many environment replicas at once; this benchmark measures exactly
-that axis for ``repro.rl.rollouts``: steps/second of the serial backend
-vs the multiprocessing pool at 1, 2 and 4 workers, on one topology-A
-environment whose step cost is dominated by the stateful failure
-checker.
+that axis: steps/second of the serial collector vs the group pool
+(``BatchedRolloutCollector`` at ``num_envs=1``, one stream per group) at
+1, 2 and 4 workers, on one topology-A environment whose step cost is
+dominated by the stateful failure checker.  One worker runs the groups
+in process; more spread them over a multiprocessing pool.
 
 Recorded per row: wall-clock seconds, steps/sec, speedup vs serial, and
 the host's CPU count — speedups are only asserted when the host
@@ -17,9 +18,10 @@ price the JSON then shows).
 import os
 
 from repro.experiments.scaling import get_profile
+from repro.rl.batched import BatchedRolloutCollector
 from repro.rl.env import PlanningEnv
 from repro.rl.policy import ActorCriticPolicy
-from repro.rl.rollouts import ParallelRolloutCollector, SerialRolloutCollector
+from repro.rl.rollouts import make_collector
 from repro.seeding import as_generator
 from repro.topology import generators
 
@@ -63,7 +65,7 @@ def run_scaling() -> list:
     rows = []
 
     env, policy = build_env_policy()
-    serial = SerialRolloutCollector(env, policy, as_generator(0))
+    serial = make_collector(env, policy, as_generator(0))
     serial_seconds, serial_steps, _ = timed_collect(serial, budget)
     rows.append(
         {
@@ -80,8 +82,8 @@ def run_scaling() -> list:
     reward_streams = {}
     for workers in WORKER_COUNTS:
         env, policy = build_env_policy()
-        with ParallelRolloutCollector(
-            env, policy, num_workers=workers, seed=0
+        with BatchedRolloutCollector(
+            env, policy, num_envs=1, num_workers=workers, seed=0
         ) as collector:
             # Warm the pool so fork/spawn cost is not billed to the
             # measured rounds.
@@ -90,7 +92,7 @@ def run_scaling() -> list:
         reward_streams[workers] = rewards
         rows.append(
             {
-                "backend": "parallel",
+                "backend": "pool",
                 "workers": workers,
                 "seconds": seconds,
                 "steps": steps,
@@ -120,7 +122,7 @@ def test_ablation_rollout_workers(benchmark, save_rows):
             f"(speedup {row['speedup_vs_serial']:.2f})"
         )
 
-    by_workers = {r["workers"]: r for r in rows if r["backend"] == "parallel"}
+    by_workers = {r["workers"]: r for r in rows if r["backend"] == "pool"}
     serial_row = next(r for r in rows if r["backend"] == "serial")
     assert serial_row["steps"] == by_workers[4]["steps"]
 

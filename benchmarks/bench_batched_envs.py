@@ -5,8 +5,8 @@ runs the policy forward over all of them at once, so the GNN/MLP work
 amortizes across replicas while each environment keeps its own LP
 evaluator and RNG stream.  This benchmark measures exactly that axis:
 merged steps/second at K in {1, 4, 16, 64} on one topology-A instance,
-using the production collector factory (K=1 resolves to the serial
-backend, so the speedup column is batched-vs-serial).
+using the production collector factory (K=1 is the serial collector,
+so the speedup column is batched-vs-serial).
 
 The workload uses a fine capacity unit (2.5 Gbps) so trajectories run
 long before feasibility — the paper's regime (max trajectory length
@@ -23,10 +23,10 @@ contract is asserted on the measured
 batches themselves: trajectory ``s`` is seeded by ``(seed, epoch, s)``
 regardless of K, so the merged reward stream is bitwise invariant
 across batched env counts (a larger budget only appends trajectories).
-The K=1 baseline runs the legacy serial backend, whose single
-sequential RNG is a different, documented seeding scheme — its
-bitwise parity story lives in ``tests/rl/test_batched.py``, which
-checks batched-vs-pool streams transition by transition.
+The K=1 baseline runs the legacy serial collector, whose single
+sequential RNG is a different, documented seeding scheme — the batched
+parity story lives in ``tests/rl/test_batched.py``, which checks batched
+streams against per-stream autodiff rollouts transition by transition.
 """
 
 import os
@@ -60,7 +60,7 @@ def build_env_policy():
 def lp_solves(collector, env) -> int:
     """Feasibility-LP solves so far by the environments being stepped."""
     batched_env = getattr(collector, "_benv", None)
-    if batched_env is None:  # the serial backend steps ``env`` itself
+    if batched_env is None:  # the serial collector steps ``env`` itself
         return env.evaluator.lp_solves
     return sum(evaluator.lp_solves for evaluator in batched_env.evaluators)
 
@@ -72,7 +72,6 @@ def timed_collect(num_envs: int, budget: int):
         env,
         policy,
         np.random.default_rng(0),
-        rollout_backend="auto",
         num_workers=1,
         num_envs=num_envs,
         seed=0,

@@ -15,21 +15,8 @@ package rebuilds the pieces NeuroPlan needs:
   row-wise ``BatchedCategorical``) for the stochastic policy with
   action masking.
 - :mod:`repro.nn.serialization` -- npz checkpoints.
-- :mod:`repro.nn.backend` -- the array-API seam.  All tensor math in
-  this package dispatches through an :class:`~repro.nn.backend.ArrayBackend`
-  (numpy today; CuPy-shaped namespaces can be registered without
-  touching the layers).
 """
 
-from repro.nn import backend
-from repro.nn.backend import (
-    ArrayBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    set_backend,
-    use_backend,
-)
 from repro.nn.tensor import Tensor, no_grad
 from repro.nn import functional
 from repro.nn.module import Module, Parameter
@@ -55,13 +42,6 @@ from repro.nn.distributions import BatchedCategorical, Categorical
 from repro.nn.serialization import save_state_dict, load_state_dict
 
 __all__ = [
-    "ArrayBackend",
-    "backend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "set_backend",
-    "use_backend",
     "Tensor",
     "no_grad",
     "functional",

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import NNError
-from repro.nn import backend as _backend
 from repro.nn.tensor import Tensor
 
 MASK_FILL = -1e9
@@ -55,11 +54,10 @@ def masked_log_softmax(logits: Tensor, mask: np.ndarray, axis: int = -1) -> Tens
     Masked entries receive :data:`MASK_FILL` before normalization, so
     their probability is (numerically) zero and no gradient flows to them.
     """
-    xp = _backend.xp()
-    mask = xp.asarray(mask, dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
     if not mask.any(axis=-1).all():
         raise NNError("masked_log_softmax: at least one entry must be valid")
-    filled = Tensor.where(mask, logits, Tensor(xp.full(logits.shape, MASK_FILL)))
+    filled = Tensor.where(mask, logits, Tensor(np.full(logits.shape, MASK_FILL)))
     return log_softmax(filled, axis=axis)
 
 

@@ -30,7 +30,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import NNError
-from repro.nn import backend as _backend
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module, Parameter
@@ -80,7 +79,7 @@ class GCNLayer(Module):
         self.activation = activation
 
     def forward(self, features: Tensor, adjacency_norm) -> Tensor:
-        if _backend.active().issparse(adjacency_norm):
+        if sp.issparse(adjacency_norm):
             propagated = Tensor.sparse_matmul(adjacency_norm, features)
         else:
             propagated = Tensor(adjacency_norm) @ features
@@ -122,7 +121,7 @@ class GATLayer(Module):
 
     def forward(self, features: Tensor, adjacency_norm) -> Tensor:
         # Attention logits are all-pairs, so GAT densifies sparse input.
-        if _backend.active().issparse(adjacency_norm):
+        if sp.issparse(adjacency_norm):
             adjacency_norm = adjacency_norm.toarray()
         # Any positive entry (including the self-loop added by
         # normalized_adjacency) marks an attendable neighbor.
@@ -183,7 +182,7 @@ class SAGELayer(Module):
         # Recover a row-stochastic (mean) operator from any nonnegative
         # adjacency: rows renormalized to sum to 1 (self-loops included
         # when the caller used normalized_adjacency).
-        if _backend.active().issparse(adjacency_norm):
+        if sp.issparse(adjacency_norm):
             neighborhood = Tensor.sparse_matmul(
                 self._sparse_mean_op(adjacency_norm), features
             )

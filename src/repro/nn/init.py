@@ -1,17 +1,12 @@
 """Weight initializers.
 
 All initializers take an explicit :class:`numpy.random.Generator` so model
-construction is deterministic under a fixed seed.  Values are always
-drawn on the *host* RNG and then transferred to the active
-:mod:`repro.nn.backend` namespace, so a fixed seed produces bitwise
-identical parameters on every backend.
+construction is deterministic under a fixed seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.nn import backend as _backend
 
 
 def xavier_uniform(
@@ -19,9 +14,7 @@ def xavier_uniform(
 ) -> np.ndarray:
     """Glorot/Xavier uniform initialization for a (fan_in x fan_out) matrix."""
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return _backend.active().asarray(
-        rng.uniform(-bound, bound, size=(fan_in, fan_out))
-    )
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
 def kaiming_uniform(
@@ -29,13 +22,11 @@ def kaiming_uniform(
 ) -> np.ndarray:
     """He/Kaiming uniform initialization, suited to ReLU networks."""
     bound = np.sqrt(6.0 / fan_in)
-    return _backend.active().asarray(
-        rng.uniform(-bound, bound, size=(fan_in, fan_out))
-    )
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
 def zeros(*shape: int) -> np.ndarray:
-    return _backend.xp().zeros(shape)
+    return np.zeros(shape)
 
 
 def orthogonal(
@@ -47,4 +38,4 @@ def orthogonal(
     q = q * np.sign(np.diag(r))
     if fan_in < fan_out:
         q = q.T
-    return _backend.active().asarray(gain * q[:fan_in, :fan_out])
+    return gain * q[:fan_in, :fan_out]

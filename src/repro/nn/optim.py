@@ -12,7 +12,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.errors import NNError
-from repro.nn import backend as _backend
 from repro.nn.module import Parameter
 
 
@@ -54,7 +53,7 @@ class Optimizer:
             )
         out = []
         for param, arr in zip(self.parameters, arrays):
-            arr = _backend.active().asarray(arr, dtype=np.float64)
+            arr = np.asarray(arr, dtype=np.float64)
             if arr.shape != param.data.shape:
                 raise NNError(
                     f"optimizer state {name!r} shape {arr.shape} does not "
@@ -91,8 +90,7 @@ class SGD(Optimizer):
         if not 0.0 <= momentum < 1.0:
             raise NNError("momentum must be in [0, 1)")
         self.momentum = momentum
-        xp = _backend.xp()
-        self._velocity = [xp.zeros_like(p.data) for p in self.parameters]
+        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
         for param, velocity in zip(self.parameters, self._velocity):
@@ -130,9 +128,8 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.eps = eps
         self._step_count = 0
-        xp = _backend.xp()
-        self._m = [xp.zeros_like(p.data) for p in self.parameters]
-        self._v = [xp.zeros_like(p.data) for p in self.parameters]
+        self._m = [np.zeros_like(p.data) for p in self.parameters]
+        self._v = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self) -> None:
         self._step_count += 1
@@ -148,7 +145,7 @@ class Adam(Optimizer):
             v += (1.0 - self.beta2) * grad**2
             m_hat = m / bias1
             v_hat = v / bias2
-            denominator = _backend.xp().sqrt(v_hat) + self.eps
+            denominator = np.sqrt(v_hat) + self.eps
             param.data = param.data - self.lr * m_hat / denominator
 
     def state_dict(self) -> dict:

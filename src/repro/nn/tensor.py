@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over array-API arrays.
+"""Reverse-mode automatic differentiation over numpy arrays.
 
 This is the core of the PyTorch substitute.  A :class:`Tensor` wraps a
 dense array together with an optional gradient and a closure that
@@ -9,12 +9,6 @@ The op set is deliberately the subset NeuroPlan's networks need: dense
 linear algebra, elementwise activations, reductions, row-wise softmax
 machinery, concatenation and row gathering.  Binary ops support numpy
 broadcasting; gradients are un-broadcast back to each parent's shape.
-
-Array operations resolve their namespace through
-:mod:`repro.nn.backend` (numpy today, CuPy-ready), so the same tape
-records and replays on whichever backend is active.  ``numpy`` is still
-imported directly for dtypes and host-side metadata (shapes, axis
-bookkeeping), which stay on the host under every backend.
 """
 
 from __future__ import annotations
@@ -25,7 +19,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.errors import NNError
-from repro.nn import backend as _backend
 
 _GRAD_ENABLED = True
 
@@ -62,7 +55,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _as_array(value) -> np.ndarray:
-    return _backend.active().asarray(value, dtype=np.float64)
+    return np.asarray(value, dtype=np.float64)
 
 
 class Tensor:
@@ -71,7 +64,7 @@ class Tensor:
     Parameters
     ----------
     data:
-        Anything coercible to a float64 array on the active backend.
+        Anything coercible to a float64 array.
     requires_grad:
         If True, gradients accumulate into :attr:`grad` during
         :meth:`backward`.
@@ -126,12 +119,8 @@ class Tensor:
         return self.data.size
 
     def numpy(self) -> np.ndarray:
-        """Return the underlying data as a host numpy array.
-
-        Under the numpy backend this is the array itself (not a copy);
-        accelerator backends transfer to host.
-        """
-        return _backend.active().to_numpy(self.data)
+        """Return the underlying data array itself (not a copy)."""
+        return self.data
 
     def item(self) -> float:
         return float(self.data)
@@ -155,7 +144,7 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = _backend.xp().array(grad, dtype=np.float64)
+            self.grad = np.array(grad, dtype=np.float64)
         else:
             self.grad = self.grad + grad
 
@@ -171,7 +160,7 @@ class Tensor:
                     "backward() without an explicit gradient requires a "
                     f"scalar output, got shape {self.shape}"
                 )
-            grad = _backend.xp().ones_like(self.data)
+            grad = np.ones_like(self.data)
         grad = _as_array(grad)
         if grad.shape != self.data.shape:
             raise NNError(
@@ -300,17 +289,16 @@ class Tensor:
         a, b = self, other
 
         def backward(grad: np.ndarray):
-            xp = _backend.xp()
             a_data, b_data = a.data, b.data
             if a_data.ndim == 1 and b_data.ndim == 1:
                 # Dot product: grad is a scalar.
                 return (grad * b_data, grad * a_data)
             if a_data.ndim == 1:
                 # (k,) @ (k, m) -> (m,)
-                return (b_data @ grad, xp.outer(a_data, grad))
+                return (b_data @ grad, np.outer(a_data, grad))
             if b_data.ndim == 1:
                 # (n, k) @ (k,) -> (n,)
-                return (xp.outer(grad, b_data), a_data.T @ grad)
+                return (np.outer(grad, b_data), a_data.T @ grad)
             grad_a = grad @ b_data.swapaxes(-1, -2)
             grad_b = a_data.swapaxes(-1, -2) @ grad
             return (_unbroadcast(grad_a, a.shape), _unbroadcast(grad_b, b.shape))
@@ -325,11 +313,10 @@ class Tensor:
         src = self
 
         def backward(grad: np.ndarray):
-            xp = _backend.xp()
             g = grad
             if axis is not None and not keepdims:
-                g = xp.expand_dims(g, axis)
-            return (xp.broadcast_to(g, src.shape).copy(),)
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, src.shape).copy(),)
 
         return Tensor._from_op(_as_array(data), (self,), backward)
 
@@ -342,12 +329,11 @@ class Tensor:
         src = self
 
         def backward(grad: np.ndarray):
-            xp = _backend.xp()
             g = grad
             d = data
             if axis is not None and not keepdims:
-                g = xp.expand_dims(g, axis)
-                d = xp.expand_dims(d, axis)
+                g = np.expand_dims(g, axis)
+                d = np.expand_dims(d, axis)
             mask = (src.data == d).astype(np.float64)
             # Split gradient evenly among ties to keep the Jacobian finite.
             counts = (
@@ -363,7 +349,7 @@ class Tensor:
     # Elementwise functions
     # ------------------------------------------------------------------
     def relu(self) -> "Tensor":
-        data = _backend.xp().maximum(self.data, 0.0)
+        data = np.maximum(self.data, 0.0)
         src = self
 
         def backward(grad: np.ndarray):
@@ -372,18 +358,17 @@ class Tensor:
         return Tensor._from_op(data, (self,), backward)
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        xp = _backend.xp()
-        data = xp.where(self.data > 0.0, self.data, negative_slope * self.data)
+        data = np.where(self.data > 0.0, self.data, negative_slope * self.data)
         src = self
 
         def backward(grad: np.ndarray):
-            slope = _backend.xp().where(src.data > 0.0, 1.0, negative_slope)
+            slope = np.where(src.data > 0.0, 1.0, negative_slope)
             return (grad * slope,)
 
         return Tensor._from_op(data, (self,), backward)
 
     def tanh(self) -> "Tensor":
-        data = _backend.xp().tanh(self.data)
+        data = np.tanh(self.data)
 
         def backward(grad: np.ndarray):
             return (grad * (1.0 - data**2),)
@@ -391,7 +376,7 @@ class Tensor:
         return Tensor._from_op(data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + _backend.xp().exp(-self.data))
+        data = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(grad: np.ndarray):
             return (grad * data * (1.0 - data),)
@@ -399,7 +384,7 @@ class Tensor:
         return Tensor._from_op(data, (self,), backward)
 
     def exp(self) -> "Tensor":
-        data = _backend.xp().exp(self.data)
+        data = np.exp(self.data)
 
         def backward(grad: np.ndarray):
             return (grad * data,)
@@ -407,7 +392,7 @@ class Tensor:
         return Tensor._from_op(data, (self,), backward)
 
     def log(self) -> "Tensor":
-        data = _backend.xp().log(self.data)
+        data = np.log(self.data)
         src = self
 
         def backward(grad: np.ndarray):
@@ -416,11 +401,11 @@ class Tensor:
         return Tensor._from_op(data, (self,), backward)
 
     def abs(self) -> "Tensor":
-        data = _backend.xp().abs(self.data)
+        data = np.abs(self.data)
         src = self
 
         def backward(grad: np.ndarray):
-            return (grad * _backend.xp().sign(src.data),)
+            return (grad * np.sign(src.data),)
 
         return Tensor._from_op(data, (self,), backward)
 
@@ -455,30 +440,27 @@ class Tensor:
 
     def gather_rows(self, indices) -> "Tensor":
         """Select rows ``indices`` along the first axis (keeps gradients)."""
-        idx = _backend.xp().asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices, dtype=np.int64)
         data = self.data[idx]
         src = self
 
         def backward(grad: np.ndarray):
-            bk = _backend.active()
-            out = bk.xp.zeros_like(src.data)
-            bk.index_add(out, idx, grad)
+            out = np.zeros_like(src.data)
+            np.add.at(out, idx, grad)
             return (out,)
 
         return Tensor._from_op(data, (self,), backward)
 
     def take(self, row_indices, col_indices) -> "Tensor":
         """Fancy-index elements ``(row_indices[i], col_indices[i])``."""
-        xp = _backend.xp()
-        rows = xp.asarray(row_indices, dtype=np.int64)
-        cols = xp.asarray(col_indices, dtype=np.int64)
+        rows = np.asarray(row_indices, dtype=np.int64)
+        cols = np.asarray(col_indices, dtype=np.int64)
         data = self.data[rows, cols]
         src = self
 
         def backward(grad: np.ndarray):
-            bk = _backend.active()
-            out = bk.xp.zeros_like(src.data)
-            bk.index_add(out, (rows, cols), grad)
+            out = np.zeros_like(src.data)
+            np.add.at(out, (rows, cols), grad)
             return (out,)
 
         return Tensor._from_op(data, (self,), backward)
@@ -490,9 +472,9 @@ class Tensor:
     def sparse_matmul(matrix, tensor: "Tensor") -> "Tensor":
         """Left-multiply by a constant sparse matrix: ``matrix @ tensor``.
 
-        ``matrix`` is a sparse matrix on the active backend's sparse
-        namespace, treated as a constant (no gradient flows into it);
-        the gradient with respect to ``tensor`` is ``matrix.T @ grad``.
+        ``matrix`` is a ``scipy.sparse`` matrix, treated as a constant (no
+        gradient flows into it); the gradient with respect to ``tensor``
+        is ``matrix.T @ grad``.
         This is the GNN propagation primitive: one sparse matvec per
         layer instead of a dense ``n x n`` product.
         """
@@ -507,41 +489,38 @@ class Tensor:
     @staticmethod
     def concatenate(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [Tensor.ensure(t) for t in tensors]
-        data = _backend.xp().concatenate([t.data for t in tensors], axis=axis)
+        data = np.concatenate([t.data for t in tensors], axis=axis)
         sizes = [t.data.shape[axis] for t in tensors]
         splits = np.cumsum(sizes)[:-1]
 
         def backward(grad: np.ndarray):
-            return tuple(_backend.xp().split(grad, splits, axis=axis))
+            return tuple(np.split(grad, splits, axis=axis))
 
         return Tensor._from_op(data, tuple(tensors), backward)
 
     @staticmethod
     def stack(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [Tensor.ensure(t) for t in tensors]
-        data = _backend.xp().stack([t.data for t in tensors], axis=axis)
+        data = np.stack([t.data for t in tensors], axis=axis)
 
         def backward(grad: np.ndarray):
-            xp = _backend.xp()
-            pieces = xp.split(grad, len(tensors), axis=axis)
-            return tuple(xp.squeeze(p, axis=axis) for p in pieces)
+            pieces = np.split(grad, len(tensors), axis=axis)
+            return tuple(np.squeeze(p, axis=axis) for p in pieces)
 
         return Tensor._from_op(data, tuple(tensors), backward)
 
     @staticmethod
     def where(condition: np.ndarray, a: "Tensor", b: "Tensor") -> "Tensor":
         """Elementwise select; ``condition`` is a constant boolean array."""
-        xp = _backend.xp()
-        cond = xp.asarray(condition, dtype=bool)
+        cond = np.asarray(condition, dtype=bool)
         a = Tensor.ensure(a)
         b = Tensor.ensure(b)
-        data = xp.where(cond, a.data, b.data)
+        data = np.where(cond, a.data, b.data)
 
         def backward(grad: np.ndarray):
-            xp = _backend.xp()
             return (
-                _unbroadcast(xp.where(cond, grad, 0.0), a.shape),
-                _unbroadcast(xp.where(cond, 0.0, grad), b.shape),
+                _unbroadcast(np.where(cond, grad, 0.0), a.shape),
+                _unbroadcast(np.where(cond, 0.0, grad), b.shape),
             )
 
         return Tensor._from_op(data, (a, b), backward)

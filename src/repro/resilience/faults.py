@@ -8,8 +8,10 @@ first-class, repeatable test instead of a rare production surprise.
 
 A :class:`FaultPlan` is a set of specs, one per *site*::
 
-    rollout.worker@0.1      crash the worker task for epoch 0, stream 1
-                            (first attempt only -- the retry succeeds)
+    rollout.worker@0.1      crash the worker task for epoch 0, group 1
+                            (first attempt only -- the retry succeeds;
+                            a group is num_envs consecutive streams,
+                            so at num_envs=1 the key is the stream)
     solver.timeout          time out the first Model.optimize call
     solver.timeout#3        ... the first three calls
     checkpoint.write@4      interrupt the checkpoint write for epoch 4

@@ -8,14 +8,14 @@
   heads (Fig. 6).
 - :mod:`repro.rl.gae` -- GAE(lambda) advantages (Eq. 6) and
   rewards-to-go.
-- :mod:`repro.rl.rollouts` -- trajectory collection: a serial backend
-  (byte-identical to the legacy inline loops) and a multiprocessing
-  worker pool whose merged batches are bitwise independent of worker
-  count and scheduling.
-- :mod:`repro.rl.batched` -- batched multi-environment collection
-  (``num_envs`` lockstep environments share one policy forward) and the
-  batched training forward every update differentiates; merged batches
-  are bitwise identical to the worker-pool backend for any ``num_envs``.
+- :mod:`repro.rl.rollouts` -- the trajectory data model, the serial
+  collector (byte-identical to the legacy inline loops) and the
+  collector factory.
+- :mod:`repro.rl.batched` -- batched collection (``num_envs`` lockstep
+  environments share one policy forward, groups spread over
+  ``num_workers`` processes) and the batched training forward every
+  update differentiates; merged batches are bitwise independent of
+  ``num_envs``, worker count and scheduling.
 - :mod:`repro.rl.a2c` -- the actor-critic trainer.
 - :mod:`repro.rl.agent` -- the train/rollout facade that produces the
   first-stage plan.
@@ -27,7 +27,6 @@ from repro.rl.policy import ActorCriticPolicy
 from repro.rl.gae import discounted_returns, gae_advantages
 from repro.rl.rollouts import (
     Fragment,
-    ParallelRolloutCollector,
     RolloutBatch,
     SerialRolloutCollector,
     Transition,
@@ -51,7 +50,6 @@ __all__ = [
     "BatchedRolloutCollector",
     "Fragment",
     "merge_fragments",
-    "ParallelRolloutCollector",
     "RolloutBatch",
     "SerialRolloutCollector",
     "Transition",

@@ -28,7 +28,7 @@ from repro.rl.checkpointing import CheckpointingTrainer
 from repro.rl.env import PlanningEnv
 from repro.rl.gae import discounted_returns, gae_advantages
 from repro.rl.policy import ActorCriticPolicy
-from repro.rl.rollouts import RolloutBatch, make_collector, resolve_backend
+from repro.rl.rollouts import RolloutBatch, check_parallelism, make_collector
 from repro.seeding import as_generator
 
 
@@ -50,7 +50,6 @@ class A2CConfig:
     seed: int = 0
     num_workers: int = 1
     num_envs: int = 1  # lockstep environments per rollout group
-    rollout_backend: str = "auto"  # auto | serial | parallel | batched
     checkpoint_every: int = 0  # write a resume checkpoint every N epochs
     checkpoint_dir: "str | None" = None
     resume_from: "str | None" = None  # checkpoint file or directory
@@ -60,19 +59,7 @@ class A2CConfig:
             raise ConfigError("epochs and steps_per_epoch must be >= 1")
         if self.max_trajectory_length < 1:
             raise ConfigError("max_trajectory_length must be >= 1")
-        resolve_backend(self.rollout_backend, self.num_workers, self.num_envs)
-        if self.num_workers > self.steps_per_epoch:
-            raise ConfigError(
-                f"num_workers={self.num_workers} exceeds the available "
-                f"trajectories per epoch (steps_per_epoch="
-                f"{self.steps_per_epoch})"
-            )
-        if self.num_envs > self.steps_per_epoch:
-            raise ConfigError(
-                f"num_envs={self.num_envs} exceeds the available "
-                f"trajectories per epoch (steps_per_epoch="
-                f"{self.steps_per_epoch})"
-            )
+        check_parallelism(self.num_workers, self.num_envs, self.steps_per_epoch)
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be >= 0")
         if self.checkpoint_every and not self.checkpoint_dir:
@@ -137,7 +124,6 @@ class A2CTrainer(CheckpointingTrainer):
             env,
             self.policy,
             self.rng,
-            rollout_backend=config.rollout_backend,
             num_workers=config.num_workers,
             num_envs=config.num_envs,
             seed=config.seed,

@@ -26,30 +26,33 @@ environment:
 Determinism contract
 --------------------
 Every trajectory is a pure function of ``(policy parameters, seed,
-epoch, stream)``, exactly like the worker-pool backend: stream ``s``
-draws its actions from :func:`repro.seeding.stream_generator`
-``(seed, epoch, s)``, and the batched arithmetic reproduces the serial
-per-environment arithmetic bit for bit.  Two properties follow:
+epoch, stream)``: stream ``s`` draws its actions from
+:func:`repro.seeding.stream_generator` ``(seed, epoch, s)``, and the
+batched arithmetic reproduces one environment stepped through the
+autodiff :meth:`ActorCriticPolicy.forward` and ``Categorical.sample``
+bit for bit.  Two properties follow:
 
 - **K-invariance**: the merged batch is bitwise identical for any
-  ``num_envs`` (1 batched env == 8 batched envs == the worker-pool
-  collector's serial per-stream rollouts).
+  ``num_envs`` (1 batched env == 8 batched envs == per-stream serial
+  rollouts through the autodiff policy).
 - **Worker-invariance**: groups are keyed by index, so the batch is
   also bitwise identical for any ``num_workers``.
 
 Bitwise parity with the serial forward is *engineered*, not assumed:
 BLAS matmul results depend on the operand shapes (kernel selection and
-threading vary with the row count), so the batched forward never calls
-a gemm at a shape the serial path would not.  Dense matmuls run through
+threading vary with the row count), so the batched forward never trusts
+a gemm at a shape the serial path would not call until this machine has
+shown it bitwise equal there.  Dense matmuls run through
 :func:`rowblock_matmul`, which computes one BLAS call per slot-block at
 exactly the serial ``(num_nodes, ...)`` shape; the critic, whose serial
 input is a 1-D embedding, is evaluated per slot as the same 1-D chain.
-Sparse propagation uses a block-diagonal CSR operator, whose row
-results are independent of the other blocks by construction.  What
-*is* batched — elementwise ops, row-wise softmax, segmented reductions
-and the sparse matmuls — is exactly the set of operations whose numpy
-results are row-for-row identical to the serial calls (pinned by
-``tests/rl/test_batched.py``).
+Each may take one fused call instead once :func:`_fusion_is_exact` has
+audited that call at its shape on random operands.  Sparse propagation
+uses a block-diagonal CSR operator, whose row results are independent
+of the other blocks by construction.  What *is* batched — elementwise
+ops, row-wise softmax, segmented reductions and the sparse matmuls — is
+exactly the set of operations whose numpy results are row-for-row
+identical to the serial calls (pinned by ``tests/rl/test_batched.py``).
 """
 
 from __future__ import annotations
@@ -73,7 +76,13 @@ from repro.nn.tensor import Tensor
 from repro.resilience import faults
 from repro.rl.env import TERMINAL_PENALTY, PlanningEnv, ShortfallBound
 from repro.rl.policy import ActorCriticPolicy
-from repro.rl.rollouts import Fragment, RolloutBatch, Transition, merge_fragments
+from repro.rl.rollouts import (
+    Fragment,
+    RolloutBatch,
+    Transition,
+    check_parallelism,
+    merge_fragments,
+)
 from repro.seeding import stream_generator
 from repro.topology.instance import PlanningInstance
 
@@ -81,37 +90,56 @@ from repro.topology.instance import PlanningInstance
 # ----------------------------------------------------------------------
 # Shape-exact dense matmul
 # ----------------------------------------------------------------------
-# Per-(rows, block, k, n) verdicts of the one-time fusion audit below.
-# BLAS kernel choice is deterministic per shape on a given machine, so a
-# verdict observed once holds for every later call at that shape.
-_FUSED_GEMM_OK: dict[tuple[int, int, int, int], bool] = {}
+# Per-shape verdicts of the fusion audit below.  BLAS kernel choice is
+# deterministic per shape on a given machine, so a verdict observed once
+# holds for every later call at that shape.
+_FUSED_GEMM_OK: dict[tuple, bool] = {}
+
+
+def _fusion_is_exact(key: tuple, shapes, fused, sliced) -> bool:
+    """Whether ``fused`` is bitwise equal to ``sliced`` at ``key``'s shape.
+
+    A single fused BLAS call over all slots is much cheaper than the
+    slot-by-slot calls the serial forward matches, but only *sometimes*
+    bitwise identical to them (BLAS picks kernels by shape).  The first
+    call at each key runs both on seeded random operands of ``shapes``
+    and caches the verdict.  Never on the caller's data: all-equal rows
+    (standardized features are all zero when every link starts at the
+    same capacity) agree under any summation order, so a verdict taken
+    on them would trust a fused kernel that rounds differently later.
+    """
+    verdict = _FUSED_GEMM_OK.get(key)
+    if verdict is None:
+        rng = np.random.default_rng(0)
+        operands = [rng.standard_normal(shape) for shape in shapes]
+        verdict = fused(*operands).tobytes() == sliced(*operands).tobytes()
+        _FUSED_GEMM_OK[key] = verdict
+    return verdict
+
+
+def _slab_matmul(x: np.ndarray, w: np.ndarray, block: int) -> np.ndarray:
+    out = np.empty((x.shape[0], w.shape[1]))
+    for start in range(0, x.shape[0], block):
+        np.matmul(x[start : start + block], w, out=out[start : start + block])
+    return out
 
 
 def rowblock_matmul(x: np.ndarray, w: np.ndarray, block: int) -> np.ndarray:
     """``x @ w`` with rows bitwise identical to per-``block`` products.
 
     Each ``block``-row slab must match the exact BLAS call the serial
-    per-environment forward makes.  A single fused gemm over all slabs
-    is much cheaper but only *sometimes* bitwise identical (BLAS picks
-    kernels by shape), so the first call at each shape computes both,
-    compares bytes, and only reuses the fused path once this machine
-    has proven it safe for that shape; otherwise every call stays on
-    the guaranteed slab-by-slab loop.
+    per-environment forward makes, so the rows run slab by slab unless
+    :func:`_fusion_is_exact` has proven one fused gemm safe at this shape.
     """
     rows = x.shape[0]
-    if rows == block:
+    if rows == block or _fusion_is_exact(
+        ("rowblock", rows, block) + w.shape,
+        (x.shape, w.shape),
+        np.matmul,
+        lambda a, b: _slab_matmul(a, b, block),
+    ):
         return np.matmul(x, w)
-    key = (rows, block, x.shape[1], w.shape[1])
-    verdict = _FUSED_GEMM_OK.get(key)
-    if verdict:
-        return np.matmul(x, w)
-    out = np.empty((rows, w.shape[1]))
-    for start in range(0, rows, block):
-        np.matmul(x[start : start + block], w, out=out[start : start + block])
-    if verdict is None:
-        fused = np.matmul(x, w)
-        _FUSED_GEMM_OK[key] = fused.tobytes() == out.tobytes()
-    return out
+    return _slab_matmul(x, w, block)
 
 
 def _mlp_rows(mlp: MLP, x: np.ndarray, block: int) -> np.ndarray:
@@ -392,7 +420,6 @@ class BatchedPolicyEvaluator:
         self.sparse = sparse
         self._block_adjacency: dict[int, sp.csr_matrix] = {}
         self._block_mean_ops: dict[tuple[int, int], sp.csr_matrix] = {}
-        self._critic_fused: dict[int, bool] = {}
         self._dense_mean_op: "np.ndarray | None" = None
         self._gat_mask: "np.ndarray | None" = None
         if policy.encoder.num_layers > 0:
@@ -429,25 +456,24 @@ class BatchedPolicyEvaluator:
         return self._dense_mean_op
 
     def _propagate_dense(self, operator: np.ndarray, x: np.ndarray, n: int):
-        rows = x.shape[0]
+        rows, width = x.shape
         if rows == n:
             return np.matmul(operator, x)
-        # Same one-time fusion audit as rowblock_matmul: a broadcast
-        # (m, n, f) matmul is only trusted once its bytes match the
-        # per-slot loop on this machine at this shape.
-        key = (rows, -n, operator.shape[0], x.shape[1])
-        verdict = _FUSED_GEMM_OK.get(key)
-        if verdict:
-            return np.matmul(
-                operator, x.reshape(-1, n, x.shape[1])
-            ).reshape(rows, x.shape[1])
-        out = np.empty((rows, x.shape[1]))
-        for start in range(0, rows, n):
-            np.matmul(operator, x[start : start + n], out=out[start : start + n])
-        if verdict is None:
-            fused = np.matmul(operator, x.reshape(-1, n, x.shape[1]))
-            _FUSED_GEMM_OK[key] = fused.reshape(rows, -1).tobytes() == out.tobytes()
-        return out
+
+        def fused(op, flat):
+            return np.matmul(op, flat.reshape(-1, n, width))
+
+        def sliced(op, flat):
+            out = np.empty((rows, width))
+            for start in range(0, rows, n):
+                np.matmul(op, flat[start : start + n], out=out[start : start + n])
+            return out
+
+        if _fusion_is_exact(
+            ("propagate", rows, n, width), ((n, n), (rows, width)), fused, sliced
+        ):
+            return fused(operator, x).reshape(rows, width)
+        return sliced(operator, x)
 
     # -- encoder ---------------------------------------------------------
     def _encode(self, flat: np.ndarray, m: int, n: int) -> np.ndarray:
@@ -538,26 +564,32 @@ class BatchedPolicyEvaluator:
         single fused gemm over the stacked rows usually picks a
         different BLAS kernel, so instead the fused candidate is a 3-D
         slice-wise matmul chain — one (1, h) slab per slot, which BLAS
-        dispatches like the gemv — audited once per batch size against
-        the slot-by-slot chain before it is trusted.
+        dispatches like the gemv — taken only when every layer's slab
+        product has been audited against the per-slot one at this batch
+        size.
         """
         m = graph.shape[0]
-        verdict = self._critic_fused.get(m)
-        if verdict:
+        if m > 1 and all(
+            _fusion_is_exact(
+                ("critic", m) + module.weight.data.shape,
+                ((m, module.weight.data.shape[0]), module.weight.data.shape),
+                lambda x, w: np.matmul(x.reshape(m, 1, -1), w),
+                lambda x, w: np.stack([row @ w for row in x]),
+            )
+            for module in self.policy.critic.body
+            if isinstance(module, Linear)
+        ):
             return self._critic_slices(graph)
         values = np.empty(m)
         for slot in range(m):
             values[slot] = float(
                 _mlp_vector(self.policy.critic, graph[slot]).sum()
             )
-        if verdict is None and m > 1:
-            fused = self._critic_slices(graph)
-            self._critic_fused[m] = fused.tobytes() == values.tobytes()
         return values
 
     def _critic_slices(self, graph: np.ndarray) -> np.ndarray:
         """Critic over (m, h) rows as a stacked (m, 1, h) matmul chain."""
-        x = graph[:, None, :]
+        x = graph.reshape(graph.shape[0], 1, -1)
         for module in self.policy.critic.body:
             if isinstance(module, Linear):
                 x = np.matmul(x, module.weight.data)
@@ -710,7 +742,13 @@ def _run_group(task: tuple) -> list[Fragment]:
     state_blob, seed, epoch, group, num_envs, max_trajectory_length, attempt = (
         task
     )
-    faults.maybe_fail("rollout.worker", key=f"{epoch}.g{group}", attempt=attempt)
+    # Deterministic crash injection, keyed by the group's identity
+    # (epoch.group; a group is num_envs consecutive streams) and the
+    # collector-side attempt counter -- the retry of the same task does
+    # not re-fire, and because the group's fragments are a pure function
+    # of (params, seed, epoch, group), the respawned attempt reproduces
+    # the crashed one bit for bit.
+    faults.maybe_fail("rollout.worker", key=f"{epoch}.{group}", attempt=attempt)
     if "benv" not in _BWORKER:
         benv, policy, evaluator = _BWORKER["spec"].build()
         _BWORKER["benv"] = benv
@@ -736,11 +774,19 @@ class BatchedRolloutCollector:
     """Collect trajectories from ``num_envs`` lockstep environments.
 
     ``num_workers > 1`` distributes whole groups (one group = one tick
-    loop over ``num_envs`` streams) across a process pool, composing
-    actor batching with process parallelism; the merged batch is bitwise
-    invariant to both knobs.  Failed group tasks are retried like the
-    plain worker-pool collector — fragments are pure functions of their
-    task key, so a respawned attempt reproduces the crashed one exactly.
+    loop over ``num_envs`` streams, a single stream at ``num_envs=1``)
+    across a process pool, composing actor batching with process
+    parallelism; the merged batch is bitwise invariant to both knobs.
+
+    Use as a context manager (or call :meth:`close`); the pool is
+    terminated and joined even on KeyboardInterrupt or worker crashes.
+    A group task that dies (exception in the worker, or a worker killed
+    outright when ``worker_timeout`` is set) is retried up to
+    ``max_worker_retries`` times with linear backoff before the
+    collector gives up with a typed
+    :class:`~repro.errors.EnvironmentError_`.  Retries cannot perturb
+    the batch: fragments are pure functions of their task key, so a
+    respawned attempt reproduces the crashed one exactly.
     """
 
     def __init__(
@@ -756,10 +802,7 @@ class BatchedRolloutCollector:
         retry_backoff: float = 0.05,
         worker_timeout: "float | None" = None,
     ):
-        if num_envs < 1:
-            raise ConfigError("num_envs must be >= 1")
-        if num_workers < 1:
-            raise ConfigError("num_workers must be >= 1")
+        check_parallelism(num_workers, num_envs)
         if max_worker_retries < 0:
             raise ConfigError("max_worker_retries must be >= 0")
         self.policy = policy

@@ -13,9 +13,10 @@ state).  What makes that possible:
 
 - policy parameters and Adam moments restore exactly (float64 arrays);
 - the serial collector's RNG is restored from its bit-generator state;
-- the parallel collector needs no RNG state at all -- its streams are
-  keyed by ``(seed, epoch, trajectory)``, so the resumed epoch counter
-  alone re-addresses the identical stream family;
+- the batched collector (any ``num_workers`` or ``num_envs`` other than
+  one of each) needs no RNG state at all -- its streams are keyed by
+  ``(seed, epoch, trajectory)``, so the resumed epoch counter alone
+  re-addresses the identical stream family;
 - best-plan-so-far, epoch history, the patience counter and telemetry
   counters ride along in the checkpoint.
 """

@@ -220,8 +220,8 @@ class PlanningEnv:
     def replica_kwargs(self) -> dict:
         """Constructor kwargs that rebuild an identical environment.
 
-        Used by the parallel rollout collector to stamp out worker
-        replicas.  The *resolved* reward scale is included so replicas
+        Used by the batched rollout collector to stamp out its lockstep
+        and worker replicas.  The *resolved* reward scale is included so replicas
         skip the greedy-plan probe and are guaranteed to score rewards
         identically to this environment.
         """

@@ -1,100 +1,56 @@
-"""Rollout collection: serial and multiprocessing trajectory gathering.
+"""Rollout collection: the trajectory data model and the collector factory.
 
-Training wall-clock is dominated by trajectory collection — every
+Training wall-clock is dominated by trajectory collection -- every
 ``PlanningEnv.step`` runs the stateful failure checker over all
-scenarios — so this module factors collection out of the trainers and
-adds a ``multiprocessing`` worker-pool backend that rolls out seeded
-environment replicas in parallel (the actor-parallelism standard in
+scenarios -- so this module factors collection out of the trainers
+behind one small API (``collect(budget, max_trajectory_length, epoch)``
+and ``close()``).  Gathering trajectories from many environment
+replicas at once is the actor-parallelism standard in
 DRL-for-networking systems, and the premise of the paper's Fig. 9
-scalability story).
+scalability story.
 
 Determinism contract
 --------------------
-Two backends with two distinct, documented guarantees:
+Two collectors with two distinct, documented guarantees:
 
 :class:`SerialRolloutCollector`
     Reproduces the legacy in-process loop exactly: one environment, one
     continuous RNG stream (the trainer's), trajectories collected back
-    to back until the step budget is consumed.  Trainers configured
-    with ``num_workers=1`` (the default) use this backend, so their
-    results are byte-identical to the pre-subsystem trainers.
+    to back until the step budget is consumed.  Trainers at
+    ``num_workers=1, num_envs=1`` (the default) use it, so their results
+    are byte-identical to the pre-subsystem trainers.
 
-:class:`ParallelRolloutCollector`
-    Treats each trajectory as an independent unit of work: trajectory
-    ``k`` of epoch ``e`` draws its actions from a dedicated RNG stream
-    derived from ``(seed, e, k)`` (see :func:`repro.seeding.stream_generator`),
-    and ``PlanningEnv.reset`` is deterministic, so a trajectory's
-    content is a pure function of ``(policy parameters, seed, e, k)``.
-    Workers are handed trajectory indices in rounds and fragments are
-    merged in index order, so the merged batch is **bitwise identical
-    for any worker count** (1 worker == 4 workers) and invariant to OS
-    scheduling.  The last fragment is cut at the step budget and
-    bootstrapped with the critic value the worker already computed for
-    the next state; speculative work past the budget is discarded (and
-    counted in telemetry).
+:class:`~repro.rl.batched.BatchedRolloutCollector`
+    Every other ``(num_workers, num_envs)``.  Trajectory ``s`` of epoch
+    ``e`` draws its actions from a dedicated RNG stream derived from
+    ``(seed, e, s)`` (see :func:`repro.seeding.stream_generator`), and
+    ``PlanningEnv.reset`` is deterministic, so a trajectory's content is
+    a pure function of ``(policy parameters, seed, e, s)``.  Streams run
+    in groups of ``num_envs`` lockstep environments, in process or on a
+    pool of ``num_workers`` processes, and fragments are merged in
+    stream order, so the merged batch is **bitwise identical for any
+    worker count and any num_envs** and invariant to OS scheduling.  The
+    last fragment is cut at the step budget and bootstrapped with the
+    critic value already computed for the next state; speculative work
+    past the budget is discarded (and counted in telemetry).
 
 The two contracts cannot coincide: the serial stream threads one RNG
 through data-dependent trajectory lengths, which has no
-order-independent parallel equivalent.  ``rollout_backend="auto"``
-therefore picks serial for ``num_workers=1`` (legacy-compatible) and
-the worker pool otherwise.
+order-independent parallel equivalent.  :func:`make_collector` therefore
+picks the serial collector at ``(1, 1)`` and the batched one otherwise.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import telemetry
-from repro.errors import ConfigError, EnvironmentError_
+from repro.errors import ConfigError
 from repro.nn.tensor import no_grad
-from repro.resilience import faults
 from repro.rl.env import PlanningEnv
 from repro.rl.policy import ActorCriticPolicy
-from repro.seeding import stream_generator
-
-BACKENDS = ("auto", "serial", "parallel", "batched")
-
-
-def resolve_backend(
-    rollout_backend: str, num_workers: int, num_envs: int = 1
-) -> str:
-    """Map ``(backend, num_workers, num_envs)`` to a concrete backend.
-
-    ``num_envs > 1`` selects the batched multi-environment collector
-    (:mod:`repro.rl.batched`); it composes with ``num_workers`` (each
-    worker rolls out whole groups of ``num_envs`` streams) but not with
-    an explicit serial/parallel backend request, whose per-trajectory
-    contracts a batch cannot honor.
-    """
-    if rollout_backend not in BACKENDS:
-        raise ConfigError(
-            f"rollout_backend must be one of {BACKENDS}, got {rollout_backend!r}"
-        )
-    if num_workers < 1:
-        raise ConfigError("num_workers must be >= 1")
-    if num_envs < 1:
-        raise ConfigError("num_envs must be >= 1")
-    if rollout_backend == "serial" and num_workers > 1:
-        raise ConfigError(
-            f"rollout_backend='serial' cannot use num_workers={num_workers}"
-        )
-    if num_envs > 1 and rollout_backend in ("serial", "parallel"):
-        raise ConfigError(
-            f"rollout_backend={rollout_backend!r} cannot use "
-            f"num_envs={num_envs}; use 'auto' or 'batched'"
-        )
-    if rollout_backend == "batched":
-        return "batched"
-    if rollout_backend == "auto":
-        if num_envs > 1:
-            return "batched"
-        return "serial" if num_workers == 1 else "parallel"
-    return rollout_backend
 
 
 # ----------------------------------------------------------------------
@@ -184,42 +140,14 @@ class RolloutBatch:
         }
 
 
-@dataclass
-class ReplicaSpec:
-    """Everything a worker needs to rebuild the env + policy pair."""
-
-    instance: object  # PlanningInstance (picklable plain data)
-    env_kwargs: dict
-    policy_kwargs: dict
-
-    @classmethod
-    def from_env_policy(
-        cls, env: PlanningEnv, policy: ActorCriticPolicy
-    ) -> "ReplicaSpec":
-        return cls(
-            instance=env.instance,
-            env_kwargs=env.replica_kwargs(),
-            policy_kwargs=policy.spec(),
-        )
-
-    def build(self) -> tuple[PlanningEnv, ActorCriticPolicy]:
-        env = PlanningEnv(self.instance, **self.env_kwargs)
-        # Parameters are overwritten by each round's state dict, so the
-        # init RNG is irrelevant; 0 keeps replica construction cheap and
-        # deterministic.
-        policy = ActorCriticPolicy(rng=0, **self.policy_kwargs)
-        return env, policy
-
-
 def merge_fragments(fragments: list[Fragment], budget: int) -> RolloutBatch:
     """Keep fragments in stream order up to ``budget`` steps.
 
     The overflowing fragment is cut at the boundary and bootstrapped
     with the collector's critic estimate of the first dropped state;
-    later fragments (speculative round overshoot) are discarded.  Shared
-    by every budget-bounded collector, so the merged batch depends only
-    on the ordered fragment stream — never on which backend, worker
-    count or batch width produced it.
+    later fragments (speculative round overshoot) are discarded.  The
+    merged batch therefore depends only on the ordered fragment stream,
+    never on the worker count or group width that produced it.
     """
     kept: list[Fragment] = []
     total = 0
@@ -251,14 +179,14 @@ def merge_fragments(fragments: list[Fragment], budget: int) -> RolloutBatch:
 
 
 # ----------------------------------------------------------------------
-# Serial backend (legacy loop, byte-identical)
+# Serial collector (legacy loop, byte-identical)
 # ----------------------------------------------------------------------
 class SerialRolloutCollector:
     """The legacy in-process collection loop behind the collector API.
 
     Consumes the trainer's RNG in exactly the order the pre-subsystem
     trainers did (mask, forward, sample, step), so any trainer driving
-    this backend produces byte-identical results to the old inline code.
+    this collector produces byte-identical results to the old inline code.
     """
 
     def __init__(
@@ -351,288 +279,45 @@ class SerialRolloutCollector:
 
 
 # ----------------------------------------------------------------------
-# Worker-pool backend
-# ----------------------------------------------------------------------
-# Per-process replica cache: built lazily on the first task so that
-# construction errors surface through ``Pool.map`` (an initializer that
-# raises would make the pool respawn workers forever).
-_WORKER: dict = {}
+def check_parallelism(
+    num_workers: int, num_envs: int, steps_per_epoch: "int | None" = None
+) -> None:
+    """Reject worker or environment counts a collection round cannot use.
 
-
-def _init_worker(spec: ReplicaSpec) -> None:
-    _WORKER["spec"] = spec
-    _WORKER.pop("env", None)
-    _WORKER.pop("policy", None)
-
-
-def _run_fragment(task: tuple) -> Fragment:
-    """Collect one full trajectory in a worker process."""
-    state_blob, seed, epoch, stream, max_trajectory_length, attempt = task
-    # Deterministic crash injection, keyed by the trajectory's identity
-    # (epoch.stream) and the collector-side attempt counter -- the retry
-    # of the same task does not re-fire, and because the fragment is a
-    # pure function of (params, seed, epoch, stream), the respawned
-    # attempt reproduces the crashed one bit for bit.
-    faults.maybe_fail("rollout.worker", key=f"{epoch}.{stream}", attempt=attempt)
-    if "env" not in _WORKER:
-        env, policy = _WORKER["spec"].build()
-        _WORKER["env"] = env
-        _WORKER["policy"] = policy
-    env: PlanningEnv = _WORKER["env"]
-    policy: ActorCriticPolicy = _WORKER["policy"]
-    policy.load_state_dict(pickle.loads(state_blob))
-    rng = stream_generator(seed, epoch, stream)
-
-    transitions: list[Transition] = []
-    observation = env.reset()
-    done = False
-    feasible = False
-    final_value = 0.0
-    with no_grad():
-        while not done and len(transitions) < max_trajectory_length:
-            mask = env.action_mask()
-            if not mask.any():
-                # Spectrum exhausted: end the fragment un-done so the
-                # collector can bootstrap (or stop, if it is empty).
-                final_value = policy.value(observation, env.adjacency_norm).item()
-                break
-            distribution, value = policy(observation, env.adjacency_norm, mask)
-            action = distribution.sample(rng)
-            log_prob = distribution.log_prob(action).item()
-            value_estimate = value.item()
-            result = env.step(action)
-            transitions.append(
-                Transition(
-                    observation=observation,
-                    mask=mask,
-                    action=action,
-                    reward=result.reward,
-                    value=value_estimate,
-                    log_prob=log_prob,
-                )
-            )
-            observation = result.observation
-            done = result.done
-            feasible = result.feasible
-        if not done and transitions and len(transitions) >= max_trajectory_length:
-            done = True  # trainer-imposed trajectory cap, like the serial loop
-        elif not done and transitions and final_value == 0.0:
-            final_value = policy.value(observation, env.adjacency_norm).item()
-    return Fragment(
-        transitions=transitions,
-        stream=stream,
-        done=done,
-        feasible=done and feasible,
-        plan_cost=env.plan_cost() if done and feasible else None,
-        capacities=env.capacities() if done and feasible else None,
-        final_value=0.0 if done else final_value,
-    )
-
-
-class ParallelRolloutCollector:
-    """Collect trajectory fragments from N worker-process env replicas.
-
-    Use as a context manager (or call :meth:`close`); the pool is
-    terminated and joined even on KeyboardInterrupt or worker crashes.
-
-    A task that dies (exception in the worker, or a worker killed
-    outright when ``worker_timeout`` is set) is retried up to
-    ``max_worker_retries`` times with linear backoff before the
-    collector gives up with a typed
-    :class:`~repro.errors.EnvironmentError_`.  Retries cannot perturb
-    the batch: every fragment is a pure function of ``(policy
-    parameters, seed, epoch, stream)``, so the respawned attempt
-    reproduces exactly what the crashed one would have produced.
+    Both must be at least one; with ``steps_per_epoch`` given, neither
+    may exceed it, since a budget of that many steps holds at most that
+    many one-step trajectories.
     """
-
-    def __init__(
-        self,
-        env: PlanningEnv,
-        policy: ActorCriticPolicy,
-        *,
-        num_workers: int,
-        seed: int,
-        start_method: "str | None" = None,
-        max_worker_retries: int = 2,
-        retry_backoff: float = 0.05,
-        worker_timeout: "float | None" = None,
-    ):
-        if num_workers < 1:
-            raise ConfigError("num_workers must be >= 1")
-        if max_worker_retries < 0:
-            raise ConfigError("max_worker_retries must be >= 0")
-        self.policy = policy
-        self.num_workers = num_workers
-        self.seed = int(seed)
-        self.max_worker_retries = max_worker_retries
-        self.retry_backoff = retry_backoff
-        self.worker_timeout = worker_timeout
-        self._spec = ReplicaSpec.from_env_policy(env, policy)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
-        self._pool = None
-
-    # ------------------------------------------------------------------
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = self._ctx.Pool(
-                processes=self.num_workers,
-                initializer=_init_worker,
-                initargs=(self._spec,),
-            )
-            telemetry.counter("rl.rollouts.workers_spawned", self.num_workers)
-        return self._pool
-
-    def collect(
-        self, budget: int, max_trajectory_length: int, epoch: int = 0
-    ) -> RolloutBatch:
-        """Collect exactly ``budget`` steps (fewer only if the env exhausts).
-
-        Fragments are merged in trajectory-index order, so the result is
-        independent of worker count and scheduling.
-        """
-        if budget < 1:
-            raise ConfigError("budget must be >= 1")
-        if self.num_workers > budget:
+    for name, count in (("num_workers", num_workers), ("num_envs", num_envs)):
+        if count < 1:
+            raise ConfigError(f"{name} must be >= 1")
+        if steps_per_epoch is not None and count > steps_per_epoch:
             raise ConfigError(
-                f"num_workers={self.num_workers} exceeds the available "
-                f"trajectories: a {budget}-step budget can hold at most "
-                f"{budget} one-step trajectories"
+                f"{name}={count} exceeds the available trajectories per "
+                f"epoch (steps_per_epoch={steps_per_epoch})"
             )
-        start = time.perf_counter()
-        pool = self._ensure_pool()
-        with telemetry.timer("rl.rollouts.transfer"):
-            state_blob = pickle.dumps(
-                self.policy.state_dict(), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            telemetry.counter("rl.rollouts.transfer_bytes", len(state_blob))
-
-        fragments: list[Fragment] = []
-        total = 0
-        next_stream = 0
-        try:
-            while total < budget:
-                # Each remaining step can hold at most one more trajectory.
-                width = min(self.num_workers, budget - total)
-                tasks = [
-                    (state_blob, self.seed, epoch, stream, max_trajectory_length, 0)
-                    for stream in range(next_stream, next_stream + width)
-                ]
-                round_fragments = self._run_round(pool, tasks)
-                next_stream += width
-                exhausted = False
-                for fragment in round_fragments:
-                    fragments.append(fragment)
-                    total += len(fragment)
-                    if len(fragment) == 0:
-                        exhausted = True  # env has no valid action at reset
-                if exhausted:
-                    break
-        except KeyboardInterrupt:
-            self.close()
-            raise
-        except Exception as exc:
-            self.close()
-            raise EnvironmentError_(
-                f"rollout worker crashed during collection: {exc!r}"
-            ) from exc
-
-        batch = self._merge(fragments, budget)
-        if telemetry.enabled():
-            elapsed = time.perf_counter() - start
-            telemetry.counter("rl.rollouts.fragments", len(batch.fragments))
-            telemetry.counter("rl.rollouts.steps", batch.num_steps)
-            telemetry.counter("rl.rollouts.steps_discarded", total - batch.num_steps)
-            telemetry.observe("rl.rollouts.collect", elapsed)
-            if elapsed > 0:
-                telemetry.gauge("rl.rollouts.steps_per_sec", batch.num_steps / elapsed)
-        return batch
-
-    def _run_round(self, pool, tasks: list[tuple]) -> list[Fragment]:
-        """Run one round of tasks, respawning failed ones with retries."""
-        pending = [pool.apply_async(_run_fragment, (task,)) for task in tasks]
-        fragments: list[Fragment] = []
-        for task, handle in zip(tasks, pending):
-            try:
-                fragments.append(handle.get(self.worker_timeout))
-            except Exception as exc:
-                fragments.append(self._retry_task(pool, task, exc))
-        return fragments
-
-    def _retry_task(self, pool, task: tuple, error: Exception) -> Fragment:
-        """Re-run a failed task with bounded retries and linear backoff.
-
-        The pool replaces dead worker processes on its own; this method
-        replaces the *result* the dead worker owed us.  Retrying is safe
-        for determinism because the fragment depends only on the task
-        key, never on which worker (or attempt) computes it.
-        """
-        state_blob, seed, epoch, stream, max_trajectory_length, _ = task
-        for attempt in range(1, self.max_worker_retries + 1):
-            telemetry.counter("rl.rollouts.worker_retries")
-            time.sleep(self.retry_backoff * attempt)
-            retry = (state_blob, seed, epoch, stream, max_trajectory_length, attempt)
-            try:
-                return pool.apply_async(_run_fragment, (retry,)).get(
-                    self.worker_timeout
-                )
-            except Exception as exc:
-                error = exc
-        raise error
-
-    # Kept as an alias so existing callers and tests keep working; the
-    # shared implementation lives at module level (merge_fragments).
-    _merge = staticmethod(merge_fragments)
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Terminate and join the pool; idempotent."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.terminate()
-            finally:
-                pool.join()
-
-    def __enter__(self) -> "ParallelRolloutCollector":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        self.close()
-        return False
-
-    def __del__(self):  # best-effort: tests and crashes must not leak pools
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
-# ----------------------------------------------------------------------
 def make_collector(
     env: PlanningEnv,
     policy: ActorCriticPolicy,
     rng: np.random.Generator,
     *,
-    rollout_backend: str = "auto",
     num_workers: int = 1,
     num_envs: int = 1,
     seed: int = 0,
 ):
-    """Build the collector a trainer asked for via its config knobs."""
-    backend = resolve_backend(rollout_backend, num_workers, num_envs)
-    if backend == "serial":
-        return SerialRolloutCollector(env, policy, rng)
-    if backend == "batched":
-        from repro.rl.batched import BatchedRolloutCollector
+    """The collector for ``(num_workers, num_envs)``.
 
-        return BatchedRolloutCollector(
-            env,
-            policy,
-            num_envs=num_envs,
-            num_workers=num_workers,
-            seed=seed,
-        )
-    return ParallelRolloutCollector(env, policy, num_workers=num_workers, seed=seed)
+    ``(1, 1)`` is the serial collector on ``rng``; anything else is the
+    batched collector, whose groups are single streams at
+    ``num_envs=1`` and whose pool spreads them over ``num_workers``
+    processes.  Its constructor rejects counts below one.
+    """
+    if num_workers == 1 and num_envs == 1:
+        return SerialRolloutCollector(env, policy, rng)
+    from repro.rl.batched import BatchedRolloutCollector
+
+    return BatchedRolloutCollector(
+        env, policy, num_envs=num_envs, num_workers=num_workers, seed=seed
+    )

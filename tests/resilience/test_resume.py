@@ -17,7 +17,7 @@ EPOCHS = 4
 STOP_AT = 2  # the "interrupted" run's checkpoint boundary
 # Scaled-out collection: a worker pool, and lockstep batched envs.
 SCALE_OUT = {
-    "workers": dict(num_workers=2, rollout_backend="parallel"),
+    "workers": dict(num_workers=2),
     "envs": dict(num_envs=4),
 }
 

@@ -1,13 +1,14 @@
 """Tests for the batched multi-environment collector (repro.rl.batched).
 
 The load-bearing contract: the merged trajectory stream a batched
-collector produces is bitwise identical to the per-trajectory stream
-backend (the worker pool) for any (seed, epoch, num_envs) — batching is
-a pure throughput optimization, never a behavior change.  Also covered:
-composition with ``num_workers``, the configuration guards, the one
-batched forward every A2C/PPO update differentiates, the environments'
-duality-certificate LP-skip, the batch-of-one forward that serving takes
-every rollout step from, and the batched distribution.
+collector produces is bitwise identical to per-stream rollouts through
+the autodiff policy for any (seed, epoch, num_envs) — batching is a pure
+throughput optimization, never a behavior change.  Also covered:
+composition with ``num_workers``, the configuration guards, the fused
+kernel audit, the one batched forward every A2C/PPO update
+differentiates, the environments' duality-certificate LP-skip, the
+batch-of-one forward that serving takes every rollout step from, and
+the batched distribution.
 """
 
 import numpy as np
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 from repro import telemetry
 from repro.errors import ConfigError, NNError
 from repro.nn.distributions import BatchedCategorical, Categorical
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
+from repro.rl import batched as batched_module
 from repro.rl.a2c import A2CConfig, A2CTrainer
 from repro.rl.agent import greedy_rollout
 from repro.rl.batched import (
@@ -27,16 +29,19 @@ from repro.rl.batched import (
     BatchedPlanningEnv,
     BatchedPolicyEvaluator,
     BatchedRolloutCollector,
+    rowblock_matmul,
 )
 from repro.rl.env import PlanningEnv
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.ppo import PPOConfig, PPOTrainer
 from repro.rl.rollouts import (
-    ParallelRolloutCollector,
+    Fragment,
     SerialRolloutCollector,
+    Transition,
     make_collector,
-    resolve_backend,
+    merge_fragments,
 )
+from repro.seeding import stream_generator
 from repro.topology import datasets, generators
 
 BUDGET = 24
@@ -97,13 +102,59 @@ def collect_batched(num_envs, seed=0, epoch=0, budget=BUDGET):
         collector.close()
 
 
+def reference_fragment(env, policy, seed, epoch, stream):
+    """Stream ``stream`` of ``epoch``: one environment stepped through the
+    autodiff policy, sampling from the stream's own generator."""
+    rng = stream_generator(seed, epoch, stream)
+    observation = env.reset()
+    transitions = []
+    done = feasible = False
+    with no_grad():
+        while not done and len(transitions) < MAX_TRAJECTORY:
+            mask = env.action_mask()
+            if not mask.any():
+                break  # spectrum exhausted: cut and bootstrapped below
+            distribution, value = policy(observation, env.adjacency_norm, mask)
+            action = distribution.sample(rng)
+            result = env.step(action)
+            transitions.append(
+                Transition(
+                    observation=observation,
+                    mask=mask,
+                    action=action,
+                    reward=result.reward,
+                    value=value.item(),
+                    log_prob=distribution.log_prob(action).item(),
+                )
+            )
+            observation = result.observation
+            done, feasible = result.done, result.feasible
+        done = done or len(transitions) >= MAX_TRAJECTORY  # the trainer's cap
+        bootstrap = policy.value(observation, env.adjacency_norm).item()
+    return Fragment(
+        transitions=transitions,
+        stream=stream,
+        done=done,
+        feasible=feasible,
+        plan_cost=env.plan_cost() if feasible else None,
+        capacities=env.capacities() if feasible else None,
+        final_value=0.0 if done else bootstrap,
+    )
+
+
 def collect_pool(seed=0, epoch=0, budget=BUDGET):
-    with ParallelRolloutCollector(
-        fresh_env(), fresh_policy(), num_workers=1, seed=seed
-    ) as collector:
-        return collector.collect(
-            budget=budget, max_trajectory_length=MAX_TRAJECTORY, epoch=epoch
-        )
+    """The per-stream reference batch: streams in index order until the
+    budget is covered, merged like every batched collection round."""
+    env, policy = fresh_env(), fresh_policy()
+    fragments = []
+    total = 0
+    while total < budget:
+        fragment = reference_fragment(env, policy, seed, epoch, len(fragments))
+        fragments.append(fragment)
+        total += len(fragment)
+        if len(fragment) == 0:
+            break  # no valid action at reset
+    return merge_fragments(fragments, budget)
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +163,7 @@ def collect_pool(seed=0, epoch=0, budget=BUDGET):
 class TestBatchedSerialParity:
     @pytest.mark.parametrize("num_envs", [1, 2, 8])
     def test_stream_matches_pool(self, num_envs):
-        """K stacked envs replay the pool's per-trajectory streams."""
+        """K stacked envs replay the per-stream autodiff rollouts."""
         reference = collect_pool()
         batched = collect_batched(num_envs)
         assert stream(batched) == stream(reference)
@@ -145,7 +196,6 @@ class TestBatchedSerialParity:
             fresh_env(),
             fresh_policy(),
             np.random.default_rng(0),
-            rollout_backend="auto",
             num_workers=2,
             num_envs=2,
             seed=0,
@@ -164,21 +214,94 @@ class TestBatchedSerialParity:
 # ----------------------------------------------------------------------
 class TestConfigGuards:
     def test_auto_resolution(self):
-        assert resolve_backend("auto", 1, 1) == "serial"
-        assert resolve_backend("auto", 2, 1) == "parallel"
-        assert resolve_backend("auto", 1, 4) == "batched"
-        assert resolve_backend("auto", 2, 4) == "batched"
-        assert resolve_backend("batched", 1, 1) == "batched"
-
-    @pytest.mark.parametrize("backend", ["serial", "parallel"])
-    def test_explicit_backend_rejects_num_envs(self, backend):
-        workers = 1 if backend == "serial" else 2
-        with pytest.raises(ConfigError, match="num_envs"):
-            resolve_backend(backend, workers, 2)
+        """(1, 1) is the serial collector; any other count is batched."""
+        for workers, envs in [(1, 1), (2, 1), (1, 4), (2, 4)]:
+            collector = make_collector(
+                fresh_env(),
+                fresh_policy(),
+                np.random.default_rng(0),
+                num_workers=workers,
+                num_envs=envs,
+            )
+            try:
+                if (workers, envs) == (1, 1):
+                    assert isinstance(collector, SerialRolloutCollector)
+                else:
+                    assert isinstance(collector, BatchedRolloutCollector)
+                    assert collector.num_workers == workers
+                    assert collector.num_envs == envs
+            finally:
+                collector.close()
 
     def test_num_envs_must_be_positive(self):
         with pytest.raises(ConfigError, match="num_envs"):
-            resolve_backend("auto", 1, 0)
+            make_collector(
+                fresh_env(), fresh_policy(), np.random.default_rng(0), num_envs=0
+            )
+        for config_cls in (A2CConfig, PPOConfig):
+            with pytest.raises(ConfigError, match="num_envs"):
+                config_cls(num_envs=0)
+            with pytest.raises(ConfigError, match="num_workers"):
+                config_cls(num_workers=0)
+
+
+# ----------------------------------------------------------------------
+# The fused-kernel audit
+# ----------------------------------------------------------------------
+def slab_rows(x, w, block):
+    """``x @ w`` one ``block``-row BLAS call at a time."""
+    out = np.empty((x.shape[0], w.shape[1]))
+    for start in range(0, x.shape[0], block):
+        np.matmul(x[start : start + block], w, out=out[start : start + block])
+    return out
+
+
+class TestFusionAudit:
+    """A fused kernel is trusted on a seeded random probe, never on the
+    caller's operands.  All-zero rows (standardized features when every
+    link starts at the same capacity) agree under any summation order,
+    so a verdict taken on them says nothing about the next call.  Each
+    case runs a degenerate call first at a fresh shape, then requires
+    general data to match the per-slot calls byte for byte.  Where this
+    machine's fused kernels round like the per-slot ones, every case
+    passes either way."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_verdicts(self, monkeypatch):
+        monkeypatch.setattr(batched_module, "_FUSED_GEMM_OK", {})
+
+    def test_rowblock_matmul(self):
+        # The actor's 64 -> 1 output layer at max_units=1 on figure 1,
+        # two slots of two nodes each.
+        rng = np.random.default_rng(0)
+        w = rng.normal(size=(64, 1))
+        rowblock_matmul(np.zeros((4, 64)), w, 2)
+        x = rng.normal(size=(4, 64))
+        assert rowblock_matmul(x, w, 2).tobytes() == slab_rows(x, w, 2).tobytes()
+
+    def test_propagate_dense(self):
+        env = fresh_env()
+        evaluator = BatchedPolicyEvaluator(fresh_policy(), env.adjacency_norm, False)
+        rng = np.random.default_rng(1)
+        n, width = 6, 64
+        operator = rng.normal(size=(n, n))
+        evaluator._propagate_dense(operator, np.zeros((4 * n, width)), n)
+        x = rng.normal(size=(4 * n, width))
+        slabs = np.concatenate([operator @ x[i : i + n] for i in range(0, 4 * n, n)])
+        got = evaluator._propagate_dense(operator, x, n)
+        assert got.tobytes() == slabs.tobytes()
+
+    def test_critic_through_evaluator(self):
+        env = fresh_env()
+        policy = fresh_policy()
+        evaluator = BatchedPolicyEvaluator(policy, env.adjacency_norm, False)
+        # Zero features give every slot the same graph embedding.
+        evaluator.forward(np.zeros((8, 2, 1)))
+        features = np.random.default_rng(2).normal(size=(8, 2, 1))
+        _logits, values = evaluator.forward(features)
+        with no_grad():
+            serial = [policy.value(obs, env.adjacency_norm).item() for obs in features]
+        assert values.tolist() == serial
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Tests for the rollout-collection subsystem (repro.rl.rollouts).
 
 Covers the two determinism contracts (serial == legacy inline loop;
-parallel batches bitwise independent of worker count), crash handling,
-shutdown hygiene, and the configuration guards.
+worker-pool batches and trained results bitwise independent of
+``num_workers`` and ``num_envs``), crash handling, shutdown hygiene,
+and the configuration guards.
 """
 
 import multiprocessing
@@ -14,17 +15,13 @@ from repro import telemetry
 from repro.errors import ConfigError, EnvironmentError_
 from repro.nn.tensor import no_grad
 from repro.rl.a2c import A2CConfig, A2CTrainer
+from repro.rl.batched import BatchedPlanningEnv, BatchedRolloutCollector
 from repro.rl.env import PlanningEnv
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.ppo import PPOConfig, PPOTrainer
-from repro.rl.rollouts import (
-    ParallelRolloutCollector,
-    SerialRolloutCollector,
-    make_collector,
-    resolve_backend,
-)
+from repro.rl.rollouts import SerialRolloutCollector, make_collector
 from repro.seeding import as_generator, stream_generator
-from repro.topology import datasets
+from repro.topology import datasets, generators
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -96,9 +93,14 @@ class TestSerialCollector:
 
 
 class TestParallelDeterminism:
-    def collect(self, num_workers, budget=24, seed=5, epoch=0):
-        with ParallelRolloutCollector(
-            fresh_env(), fresh_policy(), num_workers=num_workers, seed=seed
+    def collect(self, num_workers, budget=24, seed=5, epoch=0, num_envs=1):
+        with make_collector(
+            fresh_env(),
+            fresh_policy(),
+            as_generator(0),
+            num_workers=num_workers,
+            num_envs=num_envs,
+            seed=seed,
         ) as collector:
             return collector.collect(
                 budget=budget, max_trajectory_length=8, epoch=epoch
@@ -113,10 +115,13 @@ class TestParallelDeterminism:
         ]
 
     def test_worker_count_invariance(self):
-        one = self.collect(num_workers=1)
+        two = self.collect(num_workers=2)
         four = self.collect(num_workers=4)
-        assert self.as_tuples(one) == self.as_tuples(four)
-        assert one.num_steps == four.num_steps == 24
+        assert self.as_tuples(two) == self.as_tuples(four)
+        assert two.num_steps == four.num_steps == 24
+        # The same groups rolled out in process, without a pool.
+        in_process = self.collect(num_workers=1, num_envs=2)
+        assert self.as_tuples(in_process) == self.as_tuples(two)
 
     def test_repeated_runs_identical(self):
         a = self.collect(num_workers=4)
@@ -133,8 +138,8 @@ class TestParallelDeterminism:
     def test_budget_cut_bootstraps_with_next_state_value(self):
         # A 3-step budget cuts the first trajectory; the bootstrap must
         # be the worker's critic estimate of the first dropped state.
-        full = self.collect(num_workers=1, budget=8)
-        cut = self.collect(num_workers=1, budget=3)
+        full = self.collect(num_workers=2, budget=8)
+        cut = self.collect(num_workers=2, budget=3)
         assert cut.num_steps == 3
         tail = cut.fragments[-1]
         assert tail.done is False and tail.feasible is False
@@ -149,72 +154,89 @@ class TestParallelDeterminism:
         assert not np.array_equal(a, c)
 
 
-class TestParallelTrainers:
-    def train_ppo(self, num_workers, backend="parallel"):
-        config = PPOConfig(
-            epochs=2,
-            steps_per_epoch=24,
-            max_trajectory_length=12,
-            seed=7,
-            num_workers=num_workers,
-            rollout_backend=backend,
-        )
-        return PPOTrainer(fresh_env(), fresh_policy(), config).train()
+def topology_a_case(gnn_type, sparse=None):
+    instance = generators.make_instance("A", seed=0, scale=0.5, horizon="short")
+    env = PlanningEnv(
+        instance, max_units_per_step=4, max_steps=64, sparse_adjacency=sparse
+    )
+    policy = ActorCriticPolicy(
+        feature_dim=env.encoder.feature_dim, max_units=4, gnn_type=gnn_type, rng=0
+    )
+    return env, policy
 
-    def train_a2c(self, num_workers, backend="parallel"):
-        config = A2CConfig(
+
+# Trained models whose results must not depend on how collection is
+# spread: figure 1, and topology A under each encoder (SAGE on the
+# forced-sparse adjacency).
+INVARIANCE_CASES = {
+    "figure1": lambda: (fresh_env(), fresh_policy()),
+    "A-gcn": lambda: topology_a_case("gcn"),
+    "A-sage-sparse": lambda: topology_a_case("sage", sparse=True),
+    "A-gat": lambda: topology_a_case("gat"),
+}
+# (num_workers, num_envs) cells; (1, 1) is the serial collector, whose
+# single RNG stream is a different, documented contract.
+SCALE_OUTS = [(2, 1), (4, 1), (1, 2), (1, 4), (2, 2)]
+
+
+class TestParallelTrainers:
+    """A2C and PPO results are bitwise invariant to ``num_workers`` and
+    ``num_envs``: history, best plan and the final parameters."""
+
+    @staticmethod
+    def train(trainer_cls, config_cls, case, num_workers, num_envs=1):
+        env, policy = INVARIANCE_CASES[case]()
+        config = config_cls(
             epochs=2,
-            steps_per_epoch=24,
-            max_trajectory_length=12,
+            steps_per_epoch=96,
+            max_trajectory_length=env.max_steps,
             seed=7,
             num_workers=num_workers,
-            rollout_backend=backend,
+            num_envs=num_envs,
         )
-        return A2CTrainer(fresh_env(), fresh_policy(), config).train()
+        result = trainer_cls(env, policy, config).train()
+        return result, policy.state_dict()
+
+    def assert_matrix_invariant(self, trainer_cls, config_cls):
+        __tracebackhide__ = True
+        for case in INVARIANCE_CASES:
+            reference, weights = self.train(
+                trainer_cls, config_cls, case, *SCALE_OUTS[0]
+            )
+            for workers, envs in SCALE_OUTS[1:]:
+                result, state = self.train(trainer_cls, config_cls, case, workers, envs)
+                cell = (case, workers, envs)
+                assert result.history == reference.history, cell  # float ==
+                assert result.best_cost == reference.best_cost, cell
+                assert result.best_capacities == reference.best_capacities, cell
+                assert state.keys() == weights.keys(), cell
+                for name, value in state.items():
+                    assert value.tobytes() == weights[name].tobytes(), (cell, name)
 
     def test_ppo_training_result_invariant_to_worker_count(self):
-        one = self.train_ppo(num_workers=1)
-        four = self.train_ppo(num_workers=4)
-        assert one.history == four.history  # bitwise: == on floats
-        assert one.best_cost == four.best_cost
-        assert one.best_capacities == four.best_capacities
-
-    def test_ppo_repeated_four_worker_runs_identical(self):
-        a = self.train_ppo(num_workers=4)
-        b = self.train_ppo(num_workers=4)
-        assert a.history == b.history
-        assert a.best_cost == b.best_cost
+        self.assert_matrix_invariant(PPOTrainer, PPOConfig)
 
     def test_a2c_training_result_invariant_to_worker_count(self):
-        two = self.train_a2c(num_workers=2)
-        four = self.train_a2c(num_workers=4)
-        assert two.history == four.history
-        assert two.best_cost == four.best_cost
-        assert two.best_capacities == four.best_capacities
+        self.assert_matrix_invariant(A2CTrainer, A2CConfig)
 
-    def test_a2c_serial_backend_unchanged_by_knobs(self):
-        # num_workers=1 + auto routes to the serial backend: identical
-        # to an explicitly serial run, epoch for epoch.
-        auto = self.train_a2c(num_workers=1, backend="auto")
-        serial = self.train_a2c(num_workers=1, backend="serial")
-        assert auto.history == serial.history
+    def test_ppo_repeated_four_worker_runs_identical(self):
+        a, _ = self.train(PPOTrainer, PPOConfig, "figure1", num_workers=4)
+        b, _ = self.train(PPOTrainer, PPOConfig, "figure1", num_workers=4)
+        assert a.history == b.history
+        assert a.best_cost == b.best_cost
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="crash injection relies on fork")
 class TestCrashHandling:
     def test_worker_crash_surfaces_and_closes_pool(self, monkeypatch):
-        def boom(self, action):
+        def boom(self, slots, actions):
             raise RuntimeError("injected mid-fragment failure")
 
         # Patch before the pool exists: forked workers inherit the
         # broken step and crash mid-fragment.
-        monkeypatch.setattr(PlanningEnv, "step", boom)
-        collector = ParallelRolloutCollector(
-            fresh_env(),
-            fresh_policy(),
-            num_workers=2,
-            seed=0,
-            start_method="fork",
+        monkeypatch.setattr(BatchedPlanningEnv, "step_slots", boom)
+        collector = make_collector(
+            fresh_env(), fresh_policy(), as_generator(0), num_workers=2, seed=0
         )
         with pytest.raises(EnvironmentError_, match="rollout worker crashed"):
             collector.collect(budget=8, max_trajectory_length=4)
@@ -222,17 +244,18 @@ class TestCrashHandling:
 
     def test_retry_guard(self):
         with pytest.raises(ConfigError, match="max_worker_retries"):
-            ParallelRolloutCollector(
+            BatchedRolloutCollector(
                 fresh_env(),
                 fresh_policy(),
+                num_envs=1,
                 num_workers=2,
                 seed=0,
                 max_worker_retries=-1,
             )
 
     def test_close_is_idempotent(self):
-        collector = ParallelRolloutCollector(
-            fresh_env(), fresh_policy(), num_workers=2, seed=0
+        collector = make_collector(
+            fresh_env(), fresh_policy(), as_generator(0), num_workers=2, seed=0
         )
         collector.collect(budget=4, max_trajectory_length=4)
         collector.close()
@@ -242,20 +265,21 @@ class TestCrashHandling:
 
 class TestWorkerRespawn:
     """Injected worker crashes are retried on the respawned pool, and the
-    retries must not perturb the collected batch: each fragment is a pure
-    function of (parameters, seed, epoch, stream), so a redone task
-    reproduces its fragment bitwise."""
+    retries must not perturb the collected batch: each group's fragments
+    are a pure function of (parameters, seed, epoch, group), so a redone
+    task reproduces them bitwise.  ``rollout.worker@<epoch>.<group>``
+    names a group of ``num_envs`` consecutive streams."""
 
-    def _collect(self, **kw):
+    def _collect(self, num_envs=1, **kw):
         kw.setdefault("retry_backoff", 0.0)
-        with ParallelRolloutCollector(
-            fresh_env(), fresh_policy(), num_workers=2, seed=5, **kw
+        with BatchedRolloutCollector(
+            fresh_env(), fresh_policy(), num_envs=num_envs, num_workers=2, seed=5, **kw
         ) as collector:
             return collector.collect(budget=24, max_trajectory_length=8, epoch=0)
 
     def test_crashed_task_retried_batch_bitwise_identical(self, monkeypatch):
         clean = TestParallelDeterminism.as_tuples(self._collect())
-        # Crash epoch 0 / stream 1's task on its first attempt only; the
+        # Crash epoch 0 / group 1's task on its first attempt only; the
         # retry (attempt=1) runs clean on the respawned worker.
         monkeypatch.setenv("NEUROPLAN_FAULTS", "rollout.worker@0.1")
         faulted = TestParallelDeterminism.as_tuples(self._collect())
@@ -269,9 +293,10 @@ class TestWorkerRespawn:
 
     def test_persistent_crash_exhausts_retries(self, monkeypatch):
         monkeypatch.setenv("NEUROPLAN_FAULTS", "rollout.worker@0.0#10")
-        collector = ParallelRolloutCollector(
+        collector = BatchedRolloutCollector(
             fresh_env(),
             fresh_policy(),
+            num_envs=1,
             num_workers=2,
             seed=5,
             max_worker_retries=2,
@@ -281,40 +306,36 @@ class TestWorkerRespawn:
             collector.collect(budget=24, max_trajectory_length=8, epoch=0)
         assert collector._pool is None  # closed, no hang
 
+    def test_group_key_fires_at_num_envs_above_one(self, monkeypatch):
+        clean = TestParallelDeterminism.as_tuples(self._collect(num_envs=2))
+        monkeypatch.setenv("NEUROPLAN_FAULTS", "rollout.worker@0.1")
+        faulted = TestParallelDeterminism.as_tuples(self._collect(num_envs=2))
+        assert faulted == clean
+        monkeypatch.setenv("NEUROPLAN_FAULTS", "rollout.worker@0.1#10")
+        with pytest.raises(EnvironmentError_, match="rollout worker crashed"):
+            self._collect(num_envs=2)
+
 
 class TestGuards:
-    def test_resolve_backend(self):
-        assert resolve_backend("auto", 1) == "serial"
-        assert resolve_backend("auto", 4) == "parallel"
-        assert resolve_backend("parallel", 1) == "parallel"
-        with pytest.raises(ConfigError):
-            resolve_backend("serial", 2)
-        with pytest.raises(ConfigError):
-            resolve_backend("threads", 1)
-        with pytest.raises(ConfigError):
-            resolve_backend("auto", 0)
-
     def test_num_workers_cannot_exceed_available_trajectories(self):
         with pytest.raises(ConfigError, match="available"):
             PPOConfig(steps_per_epoch=4, num_workers=8)
         with pytest.raises(ConfigError, match="available"):
             A2CConfig(steps_per_epoch=4, num_workers=8)
-        collector = ParallelRolloutCollector(
-            fresh_env(), fresh_policy(), num_workers=4, seed=0
-        )
-        with collector:
-            with pytest.raises(ConfigError, match="available"):
-                collector.collect(budget=2, max_trajectory_length=4)
 
     def test_make_collector_routes_backends(self):
         env, policy = fresh_env(), fresh_policy()
         serial = make_collector(env, policy, as_generator(0))
         assert isinstance(serial, SerialRolloutCollector)
-        parallel = make_collector(env, policy, as_generator(0), num_workers=2, seed=0)
+        pool = make_collector(env, policy, as_generator(0), num_workers=2, seed=0)
         try:
-            assert isinstance(parallel, ParallelRolloutCollector)
+            assert isinstance(pool, BatchedRolloutCollector)
+            assert (pool.num_workers, pool.num_envs) == (2, 1)
         finally:
-            parallel.close()
+            pool.close()
+        for counts in ({"num_workers": 0}, {"num_envs": 0}):
+            with pytest.raises(ConfigError, match="must be >= 1"):
+                make_collector(env, policy, as_generator(0), **counts)
 
 
 class TestTelemetry:
@@ -326,8 +347,8 @@ class TestTelemetry:
 
     def test_parallel_collection_records_counters(self):
         telemetry.enable()
-        with ParallelRolloutCollector(
-            fresh_env(), fresh_policy(), num_workers=2, seed=0
+        with make_collector(
+            fresh_env(), fresh_policy(), as_generator(0), num_workers=2, seed=0
         ) as collector:
             batch = collector.collect(budget=12, max_trajectory_length=6)
         snapshot = telemetry.snapshot()

@@ -16,7 +16,7 @@ from tests.scenarios.conftest import SEED, cached_instance, cached_plan
 
 
 def rollout_agent(
-    instance, seed=0, num_workers=1, epochs=2, backend="auto"
+    instance, seed=0, num_workers=1, num_envs=1, epochs=2
 ) -> NeuroPlanAgent:
     config = AgentConfig(
         max_units_per_step=2,
@@ -27,7 +27,7 @@ def rollout_agent(
             max_trajectory_length=24,
             seed=seed,
             num_workers=num_workers,
-            rollout_backend=backend,
+            num_envs=num_envs,
         ),
     )
     return NeuroPlanAgent(instance, config)
@@ -56,20 +56,21 @@ class TestWorkerInvariance:
     @pytest.fixture(scope="class")
     def trained_plans(self):
         # The expensive cell: train twice, only on the reference
-        # scenario, with 1 vs 2 rollout workers.  The invariance
-        # contract is scoped to the parallel backend ("auto" with one
-        # worker deliberately reproduces the legacy serial RNG stream
-        # instead), so the backend is pinned.
+        # scenario, once on 2 rollout workers and once on 2 lockstep
+        # environments.  The invariance contract covers every
+        # (num_workers, num_envs) but (1, 1), which deliberately
+        # reproduces the legacy serial RNG stream instead.
         plans = {}
-        for workers in (1, 2):
+        for scale_out in (dict(num_workers=2), dict(num_envs=2)):
             instance = zoo.get("fig7-reference").build(SEED)
-            agent = rollout_agent(instance, num_workers=workers, backend="parallel")
+            agent = rollout_agent(instance, **scale_out)
             agent.train()
-            plans[workers] = agent.greedy_rollout()
+            plans[tuple(scale_out)] = agent.greedy_rollout()
         return plans
 
     def test_trained_rollout_ignores_worker_count(self, trained_plans):
-        assert trained_plans[1].capacities == trained_plans[2].capacities
+        workers, envs = trained_plans.values()
+        assert workers.capacities == envs.capacities
 
 
 class TestClassicalPlanners:
