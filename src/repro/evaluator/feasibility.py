@@ -31,6 +31,7 @@ is built on first read, so callers that only want verdicts pay nothing.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable
@@ -46,6 +47,16 @@ from repro.topology.instance import PlanningInstance
 from repro.topology.traffic import TrafficMatrix
 
 _TOLERANCE = 1e-6
+
+
+def _demand_fingerprint(flows) -> str:
+    """Content digest of an ordered flow list: keys and demand values."""
+    digest = hashlib.blake2b(digest_size=16)
+    for flow in flows:
+        digest.update(
+            f"{flow.src}\0{flow.dst}\0{flow.cos.name}\0{flow.demand!r}\n".encode()
+        )
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -109,7 +120,12 @@ class FailureCheckResult:
 
 
 class FeasibilityChecker:
-    """Reusable LP for checking a capacity assignment under failures."""
+    """Reusable LP for checking a capacity assignment under failures.
+
+    :attr:`demand_fingerprint` digests the demand matrix the LP is
+    currently built for; verdict caches shared across checkers key on
+    it, so a retarget can never serve another demand's verdict.
+    """
 
     def __init__(self, instance: PlanningInstance, aggregate: bool = True):
         self.instance = instance
@@ -196,6 +212,7 @@ class FeasibilityChecker:
         model.set_objective(quicksum(self._served_vars), sense="max")
         self._model = model
         self._flows = flows
+        self.demand_fingerprint = _demand_fingerprint(flows)
         self._commodities = commodities
         # Certificate indexing: each capacity row's model row, the flow
         # variables it caps (one per commodity), and the served columns.
@@ -238,10 +255,12 @@ class FeasibilityChecker:
         rows) depends only on the network and the ordered set of
         ``(src, dst, cos)`` flow keys; demand values appear solely in
         the served-variable upper bounds and the per-failure templates.
-        Retargeting therefore swaps the flow list and drops the cached
-        templates — the next :meth:`check` delta-diffs the fresh serve
-        bounds against the model's current state, pushing only changed
-        bounds into the persistent backend (warm basis intact).
+        Retargeting therefore swaps the flow list, refreshes
+        :attr:`demand_fingerprint` and drops the cached templates — the
+        next :meth:`check` delta-diffs the fresh serve bounds against
+        the model's current state, pushing only changed bounds into the
+        persistent backend.  The per-failure saved bases stay: any basis
+        is a valid warm start, and the old demands' is usually close.
 
         Returns the number of flows whose demand changed.  Raises
         :class:`TrafficError` if the flow keys differ (a structural
@@ -263,6 +282,7 @@ class FeasibilityChecker:
         )
         self.instance = replace(self.instance, traffic=traffic)
         self._flows = new_flows
+        self.demand_fingerprint = _demand_fingerprint(new_flows)
         self._templates.clear()
         telemetry.counter("solverfarm.retarget.calls")
         telemetry.counter("solverfarm.retarget.flows_changed", changed)
@@ -381,19 +401,21 @@ class FeasibilityChecker:
             self._last_serve_ub[serve_changed] = template.serve_ub[serve_changed]
         required_demand = template.required_demand
 
+        # Each failure restarts from its own last optimal basis, not
+        # from whichever failure happened to be solved just before.
+        failure_id = failure.id if failure is not None else "none"
         with telemetry.timer("evaluator.feasibility.check"):
-            status = self._model.optimize()
+            status = self._model.optimize(basis_key=failure_id)
         self._lp_solves += 1
         telemetry.counter("evaluator.feasibility.checks")
         if status is not Status.OPTIMAL:
             raise SolverError(
-                f"feasibility LP ended with {status} for failure "
-                f"{failure.id if failure else 'none'}"
+                f"feasibility LP ended with {status} for failure {failure_id}"
             )
         served = self._model.objective_value
         satisfied = served >= required_demand - _TOLERANCE
         return FailureCheckResult(
-            failure_id=failure.id if failure is not None else "none",
+            failure_id=failure_id,
             satisfied=satisfied,
             required_demand=required_demand,
             served_demand=min(served, required_demand),

@@ -534,8 +534,15 @@ class BatchedPolicyEvaluator:
         return out
 
     # -- the forward ------------------------------------------------------
-    def forward(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(logits (m, num_actions), values (m,)) for stacked features."""
+    def forward(
+        self, features: np.ndarray, critic: bool = True
+    ) -> "tuple[np.ndarray, np.ndarray | None]":
+        """(logits (m, num_actions), values (m,)) for stacked features.
+
+        ``critic=False`` is the logits-only path: the value head never
+        runs and the values come back as ``None``.  Served rollouts act
+        on the mode action alone, so they take it.
+        """
         m, n, f = features.shape
         flat = np.ascontiguousarray(features.reshape(m * n, f))
         embeddings = self._encode(flat, m, n)
@@ -545,16 +552,17 @@ class BatchedPolicyEvaluator:
         actor_in = np.concatenate([embeddings, tiled], axis=1)
         logits = _mlp_rows(self.policy.actor, actor_in, n)
         logits = logits.reshape(m, n * self.policy.max_units)
-        return logits, self._critic_values(graph)
+        return logits, self._critic_values(graph) if critic else None
 
     def mode_action(self, observation: np.ndarray, mask: np.ndarray) -> int:
         """The serial ``policy.distribution(...).mode()`` without autodiff.
 
-        One observation runs as a batch of one through :meth:`forward`,
-        whose row is bitwise equal to the serial logits, so the masked
-        argmax picks the same action.  Fits ``greedy_rollout``'s ``act``.
+        One observation runs as a batch of one through the logits-only
+        :meth:`forward`, whose row is bitwise equal to the serial logits,
+        so the masked argmax picks the same action.  Fits
+        ``greedy_rollout``'s ``act``.
         """
-        logits, _values = self.forward(observation[None])
+        logits, _values = self.forward(observation[None], critic=False)
         return int(mode_actions_rows(logits, mask[None])[0])
 
     def _critic_values(self, graph: np.ndarray) -> np.ndarray:

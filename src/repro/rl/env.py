@@ -107,15 +107,18 @@ class EvaluationMemo:
     is a pure function of the capacity assignment for a fixed instance
     and demand matrix, so concurrent rollouts replaying the same
     deterministic trajectory recompute identical feasibility LPs.  A
-    memo keyed by the capacity vector lets the first rollout pay for
-    each state and every concurrent sibling reuse the exact result
-    object -- bitwise-identical verdicts, one LP solve instead of N.
+    memo keyed by the demand fingerprint and the capacity vector lets
+    the first rollout pay for each state and every concurrent sibling
+    reuse the exact result object -- bitwise-identical verdicts, one LP
+    solve instead of N.
 
-    Only attach one memo to environments that share the instance *and*
-    the demand target; :meth:`PlanningEnv.retarget_demands` clears an
-    attached memo defensively.  The memo is deliberately bounded and
-    meant to be cleared between request cohorts (it shares work across
-    in-flight requests; long-term reuse is the response cache's job).
+    Only attach one memo to environments of one instance.  They may sit
+    at different demand targets: the key carries the checker's
+    :attr:`~repro.evaluator.FeasibilityChecker.demand_fingerprint`, so
+    a retargeted env never reads a verdict made under other demands.
+    The memo is deliberately bounded and meant to be cleared between
+    request cohorts (it shares work across in-flight requests;
+    long-term reuse is the response cache's job).
     """
 
     def __init__(self, max_entries: int = 8192):
@@ -303,7 +306,10 @@ class PlanningEnv:
         memo = self.eval_memo
         if memo is None:
             return self.evaluator.evaluate(self._capacities)
-        key = tuple(self._capacities.values())
+        key = (
+            self.evaluator.checker.demand_fingerprint,
+            tuple(self._capacities.values()),
+        )
         result = memo.get(key)
         if result is None:
             result = self.evaluator.evaluate(self._capacities)
@@ -326,17 +332,15 @@ class PlanningEnv:
         Observations (capacity features) and action masks (spectrum
         headroom) are demand-independent, so only the evaluator layer
         needs to move: the compiled feasibility LP swaps its serve
-        bounds in place (warm basis intact) and this env's ``instance``
+        bounds in place (warm bases intact) and this env's ``instance``
         follows.  The current episode is invalidated — call ``reset()``
-        or ``reset_from()`` before stepping.  Returns the number of
-        flows whose demand changed.
+        or ``reset_from()`` before stepping.  An attached memo needs no
+        clearing: its keys carry the demand fingerprint.  Returns the
+        number of flows whose demand changed.
         """
         changed = self.evaluator.retarget_demands(traffic)
         self.instance = self.evaluator.instance
         self._done = True
-        if self.eval_memo is not None:
-            # Verdicts memoized under the old demands are wrong now.
-            self.eval_memo.clear()
         return changed
 
     def observation(self) -> np.ndarray:

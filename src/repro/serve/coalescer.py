@@ -229,7 +229,7 @@ class ForwardCoalescer:
                 evaluator = entries[0].group.evaluator
                 features = np.stack([item.observation for item in entries])
                 masks = np.stack([item.mask for item in entries])
-                logits, _values = evaluator.forward(features)
+                logits, _values = evaluator.forward(features, critic=False)
                 actions = mode_actions_rows(logits, masks)
                 for row, item in enumerate(entries):
                     item.action = int(actions[row])

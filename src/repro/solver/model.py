@@ -38,9 +38,13 @@ and objective updates are pushed as deltas (``changeRowBounds`` /
 ``changeColsBounds`` over the dirty indices only) and each re-solve
 starts from the previous optimal basis -- the incremental-update
 optimization that makes thousands of per-step feasibility re-checks
-affordable.  Budgeted LP solves (``time_limit`` / ``iteration_limit``)
-and environments without the vendored bindings fall back to
-``scipy.optimize.linprog``, preserving the documented budget semantics.
+affordable.  A caller that cycles through several bound patterns (the
+feasibility checker's failure scenarios) passes ``optimize(basis_key=)``
+so each pattern restarts from its *own* last optimal basis, saved and
+restored with ``getBasis`` / ``setBasis``.  Budgeted LP solves
+(``time_limit`` / ``iteration_limit``) and environments without the
+vendored bindings fall back to ``scipy.optimize.linprog``, preserving
+the documented budget semantics.
 ``optimize(relax=True)`` solves the LP relaxation of a MILP.  A
 warm-start hint is emulated with an objective cutoff (see
 :meth:`Model.optimize`).
@@ -148,9 +152,12 @@ class _PersistentLP:
 
     The instance owns a C++ copy of the constraint matrix; callers push
     bound/cost deltas and re-run, reusing the previous optimal basis.
+    A keyed solve instead starts from the last optimal basis saved under
+    its key (see :meth:`solve`); the saved bases live and die with the
+    instance, so recompiling the matrix drops them all.
     """
 
-    __slots__ = ("_highs", "solve_count")
+    __slots__ = ("_highs", "solve_count", "_bases", "_basis_key")
 
     def __init__(self, matrix, row_lb, row_ub, var_lb, var_ub, cost):
         csc = matrix.tocsc()
@@ -172,6 +179,9 @@ class _PersistentLP:
             raise _PersistentLPError("HiGHS rejected the model")
         self._highs = highs
         self.solve_count = 0
+        self._bases: dict = {}
+        # Key whose optimal basis HiGHS currently holds (None: unkeyed).
+        self._basis_key = None
 
     def update_rows(self, indices, lower, upper) -> None:
         highs = self._highs
@@ -192,15 +202,34 @@ class _PersistentLP:
         idx = np.arange(cost.shape[0], dtype=np.int32)
         self._highs.changeColsCost(cost.shape[0], idx, cost)
 
-    def solve(self) -> "tuple[Status, float | None, object]":
-        """Run HiGHS; return (status, signed objective, HighsSolution)."""
+    def solve(self, basis_key=None) -> "tuple[Status, float | None, object]":
+        """Run HiGHS; return (status, signed objective, HighsSolution).
+
+        With a ``basis_key``, the solve starts from the last optimal
+        basis saved under that key (unless HiGHS already holds it) and
+        saves its own optimal basis there.  Any basis is a valid start,
+        so the key only changes how many simplex iterations run.
+        """
         highs = self._highs
+        if basis_key is not None and basis_key != self._basis_key:
+            basis = self._bases.get(basis_key)
+            if basis is not None:
+                highs.setBasis(basis)
+                if telemetry.enabled():
+                    telemetry.counter("solver.lp_basis_restores")
+        self._basis_key = None
         highs.run()
         self.solve_count += 1
         model_status = highs.getModelStatus()
         core = _highs_core.HighsModelStatus
         if model_status == core.kOptimal:
-            objective = float(highs.getInfo().objective_function_value)
+            info = highs.getInfo()
+            if telemetry.enabled():
+                telemetry.counter("solver.lp_iterations", info.simplex_iteration_count)
+            if basis_key is not None:
+                self._bases[basis_key] = highs.getBasis()
+                self._basis_key = basis_key
+            objective = float(info.objective_function_value)
             # getSolution() returns a copy, so it outlives later re-solves.
             return Status.OPTIMAL, objective, highs.getSolution()
         if model_status == core.kInfeasible:
@@ -577,6 +606,7 @@ class Model:
         cutoff_tolerance: float = 1e-6,
         node_limit: int | None = None,
         iteration_limit: int | None = None,
+        basis_key: "str | None" = None,
     ) -> Status:
         """Solve the model and return a :class:`Status`.
 
@@ -608,6 +638,14 @@ class Model:
             Branch-and-bound node budget (MILP only), mapped to HiGHS.
         iteration_limit:
             Simplex iteration budget (LP only), mapped to HiGHS.
+        basis_key:
+            Names the bound pattern being solved (the feasibility
+            checker passes its failure id).  On the persistent backend
+            the solve starts from the last optimal basis saved under
+            this key rather than from whatever the previous solve left,
+            and saves its own.  The optimum is unique whatever the
+            start, so the key changes iteration counts, not answers;
+            the linprog, budgeted, relaxed and MILP paths ignore it.
         """
         if not self.variables:
             raise SolverError("cannot optimize a model with no variables")
@@ -638,7 +676,9 @@ class Model:
         if use_milp:
             status = self._solve_milp(time_limit, mip_gap, node_limit)
         else:
-            status = self._solve_lp(time_limit, iteration_limit)
+            status = self._solve_lp(
+                time_limit, iteration_limit, None if relax else basis_key
+            )
         self._solve_time = time.perf_counter() - start
         self._solve_count += 1
         self._status = status
@@ -695,7 +735,10 @@ class Model:
         return eq_mask, ub_mask, lb_mask, a_eq, a_ub
 
     def _solve_lp(
-        self, time_limit: float | None, iteration_limit: int | None = None
+        self,
+        time_limit: float | None,
+        iteration_limit: int | None = None,
+        basis_key: "str | None" = None,
     ) -> Status:
         budgeted = time_limit is not None or iteration_limit is not None
         if (
@@ -708,13 +751,13 @@ class Model:
             # presolve finish the solve).
             return self._solve_lp_linprog(time_limit, iteration_limit)
         try:
-            return self._solve_lp_persistent()
+            return self._solve_lp_persistent(basis_key)
         except _PersistentLPError:
             telemetry.counter("solver.persistent_fallbacks")
             self._persistent = None
             return self._solve_lp_linprog(time_limit, iteration_limit)
 
-    def _solve_lp_persistent(self) -> Status:
+    def _solve_lp_persistent(self, basis_key: "str | None" = None) -> Status:
         """Solve on the hot HiGHS instance, pushing only dirty bounds."""
         persistent = self._persistent
         if persistent is None or self._matrix is None:
@@ -756,7 +799,7 @@ class Model:
                 telemetry.counter("solver.persistent_resolves")
         self._objective_dirty = False
         self._cutoff_dirty = False
-        status, objective, solution = persistent.solve()
+        status, objective, solution = persistent.solve(basis_key)
         if status is Status.OPTIMAL:
             self._solution = np.asarray(solution.col_value, dtype=np.float64)
             self._objective_value = objective * self._sense

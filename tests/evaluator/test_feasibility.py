@@ -1,7 +1,9 @@
 """Tests for the per-failure feasibility LP and its duality certificate."""
 
+import os
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -304,3 +306,82 @@ class TestDualityCertificate:
         for capacities in [anchor] + [grown(anchor, rng, 10.0) for _ in range(3)]:
             served = oracle.check(capacities, failure).served_demand
             assert certificate.bound(capacities) >= served - 1e-9
+
+
+def checker_on(backend, instance):
+    """A checker whose LP runs on ``backend`` (``NEUROPLAN_LP_BACKEND``)."""
+    with mock.patch.dict(os.environ, {"NEUROPLAN_LP_BACKEND": backend}):
+        return FeasibilityChecker(instance)
+
+
+class TestVerdictsAreBasisIndependent:
+    """Per-failure saved bases change simplex paths, never verdicts.
+
+    The keyed checker (persistent HiGHS, each failure restarting from
+    its own last optimal basis) walks a random add-only capacity
+    trajectory with random demand retargets.  After every move each
+    scenario is checked on it and on a checker on the stateless linprog
+    backend, whose answer cannot depend on any earlier solve.
+    """
+
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        band=st.sampled_from(["A", "B"]),
+        seed=st.integers(min_value=0, max_value=5),
+        scale=st.sampled_from([0.3, 0.5, 0.7]),
+        unit=st.sampled_from([10.0, 50.0]),
+        moves=st.lists(
+            st.one_of(
+                st.floats(min_value=0.5, max_value=2.0),  # retarget factor
+                st.integers(min_value=0, max_value=2**16),  # growth seed
+            ),
+            min_size=3,
+            max_size=6,
+        ),
+    )
+    def test_keyed_checks_match_the_linprog_reference(
+        self, band, seed, scale, unit, moves
+    ):
+        instance = generators.make_instance(
+            band, seed=seed, scale=scale, horizon="short", capacity_unit=unit
+        )
+        keyed = checker_on("persistent", instance)
+        reference = checker_on("linprog", instance)
+        scenarios = [None, *instance.failures]
+        capacities = instance.network.capacities()
+        for move in moves:
+            if isinstance(move, float):
+                traffic = instance.traffic.scaled(move)
+                changed = keyed.retarget_demands(traffic)
+                assert changed == reference.retarget_demands(traffic)
+                rng = np.random.default_rng(0)
+            else:
+                rng = np.random.default_rng(move)
+                capacities = grown(capacities, rng, unit)
+            results = [keyed.check(capacities, f) for f in scenarios]
+            expected = [reference.check(capacities, f) for f in scenarios]
+            for got, want in zip(results, expected):
+                assert got.failure_id == want.failure_id
+                assert got.satisfied == want.satisfied
+                assert got.served_demand == pytest.approx(
+                    want.served_demand, rel=1e-6, abs=1e-9
+                )
+            violated = [r for r in results if not r.satisfied]
+            assert [r.failure_id for r in violated] == [
+                r.failure_id for r in expected if not r.satisfied
+            ]
+            for result, failure in zip(results, scenarios):
+                if result.satisfied:
+                    continue
+                certificate = result.certificate
+                for _ in range(2):
+                    probe = {
+                        link_id: value * float(rng.uniform(0.0, 2.0))
+                        for link_id, value in capacities.items()
+                    }
+                    served = reference.check(probe, failure).served_demand
+                    assert certificate.bound(probe) >= served - 1e-9

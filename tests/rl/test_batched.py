@@ -11,6 +11,8 @@ batch-of-one forward that serving takes every rollout step from, and
 the batched distribution.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -29,6 +31,7 @@ from repro.rl.batched import (
     BatchedPlanningEnv,
     BatchedPolicyEvaluator,
     BatchedRolloutCollector,
+    mode_actions_rows,
     rowblock_matmul,
 )
 from repro.rl.env import PlanningEnv
@@ -759,6 +762,61 @@ class TestEvaluatorRowParity:
         served = greedy_rollout(env, policy, act=evaluator.mode_action)
         assert served.capacities == reference.capacities
         assert served.metadata == reference.metadata
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=row_cases, action_seed=st.integers(0, 2**16))
+    def test_logits_path_runs_no_critic(self, case, action_seed):
+        """Served forwards drop the critic without moving a logit bit."""
+        instance = generators.make_instance(
+            case["topology"],
+            seed=case["seed"],
+            scale=case["scale"],
+            horizon="short",
+        )
+        env = PlanningEnv(
+            instance,
+            max_units_per_step=case["max_units"],
+            max_steps=ROW_MAX_STEPS,
+            feature_set=case["feature_set"],
+            sparse_adjacency=case["sparse"],
+        )
+        policy = ActorCriticPolicy(
+            feature_dim=env.encoder.feature_dim,
+            max_units=case["max_units"],
+            gnn_layers=case["gnn_layers"],
+            gnn_type=case["gnn_type"],
+            rng=case["seed"],
+        )
+        evaluator = BatchedPolicyEvaluator(
+            policy, env.adjacency_norm, env.sparse_adjacency
+        )
+        rng = np.random.default_rng(action_seed)
+        observations, masks = [env.reset()], [env.action_mask()]
+        while not env.done and masks[-1].any():
+            step = env.step(int(rng.choice(np.flatnonzero(masks[-1]))))
+            observations.append(step.observation)
+            masks.append(env.action_mask())
+        stacked = np.stack(observations)
+        expected, _values = evaluator.forward(stacked)
+        singles = [evaluator.forward(obs[None])[0] for obs in observations]
+        with mock.patch.object(
+            BatchedPolicyEvaluator,
+            "_critic_values",
+            side_effect=AssertionError("served forward ran the critic"),
+        ):
+            logits, values = evaluator.forward(stacked, critic=False)
+            assert values is None
+            assert logits.tobytes() == expected.tobytes()
+            for observation, mask, single in zip(observations, masks, singles):
+                row, _values = evaluator.forward(observation[None], critic=False)
+                assert row.tobytes() == single.tobytes()
+                if mask.any():
+                    mode = mode_actions_rows(single, mask[None])[0]
+                    assert evaluator.mode_action(observation, mask) == mode
 
 
 # ----------------------------------------------------------------------

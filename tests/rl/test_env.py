@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, EnvironmentError_
-from repro.rl.env import PlanningEnv
+from repro.planning.greedy import GreedyPlanner
+from repro.rl.env import EvaluationMemo, PlanningEnv
 from repro.topology import datasets, generators
 
 
@@ -167,3 +168,27 @@ class TestActionMask:
             action = rng.choice(np.flatnonzero(mask))
             env.step(int(action))
         assert instance.network.spectrum_feasible(env.capacities())
+
+
+class TestEvaluationMemo:
+    def test_retargeted_env_never_reads_another_demands_verdict(self):
+        """Envs at different demands share one memo without clear()."""
+        instance = generators.make_instance("A", seed=0, scale=0.5)
+        plan = GreedyPlanner().plan(instance).capacities
+        stays = PlanningEnv(instance)
+        moved = PlanningEnv(instance, **stays.replica_kwargs())
+        memo = EvaluationMemo()
+        stays.eval_memo = moved.eval_memo = memo
+        moved.retarget_demands(instance.traffic.scaled(3.0))
+        stays.reset_from(plan)
+        assert stays.feasible
+        assert memo.stats()["entries"] == 1
+        moved.reset_from(plan)
+        assert not moved.feasible  # its own verdict, not the memo's
+        assert memo.stats() == {"entries": 2, "hits": 0, "misses": 2}
+        # The same demands meet again: the verdict is shared.
+        twin = PlanningEnv(instance, **stays.replica_kwargs())
+        twin.eval_memo = memo
+        twin.reset_from(plan)
+        assert twin.feasible
+        assert memo.stats()["hits"] == 1

@@ -2,7 +2,8 @@
 
 The coalescer's lone-rollout fast path, coalesced cohorts, and the
 solver farm's plans and replans all take their mode actions from
-:meth:`repro.rl.batched.BatchedPolicyEvaluator.forward`.  The autodiff
+:meth:`repro.rl.batched.BatchedPolicyEvaluator.forward` with
+``critic=False``, which never runs the value head.  The autodiff
 :class:`ActorCriticPolicy` forward stays on the one serving path that
 builds no coalescer, ``ServiceConfig(batching=False)``, which is the
 independent reference the served plans are compared against here.
@@ -14,6 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.rl.agent import greedy_rollout
+from repro.rl.batched import BatchedPolicyEvaluator
 from repro.rl.env import PlanningEnv
 from repro.rl.policy import ActorCriticPolicy
 from repro.serve import (
@@ -100,6 +102,32 @@ class TestServedRolloutsAreGradFree:
         for response in responses:
             assert_same_plan(response, reference)
         assert stats["batches"] >= 1
+
+    def test_served_steps_never_run_the_critic(self, model_dir, monkeypatch):
+        """Coalesced batches and fast-path steps read logits alone."""
+        reference = serial_reference(model_dir)
+        calls = refuse_autodiff(monkeypatch)
+        critic_calls = []
+
+        def refusing_critic(self, graph):
+            critic_calls.append(graph.shape[0])
+            raise AutodiffForward("critic")
+
+        monkeypatch.setattr(BatchedPolicyEvaluator, "_critic_values", refusing_critic)
+        config = ServiceConfig(
+            workers=4, cache_size=0, batch_window_ms=50.0, max_batch=4
+        )
+        with PlanningService(model_dir, config) as service:
+            lone = service.plan(request())
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(service.plan, request()) for _ in range(4)]
+                responses = [future.result(timeout=300) for future in futures]
+            (stats,) = service.batching_stats()["models"].values()
+        assert calls == [] and critic_calls == []
+        for response in [lone, *responses]:
+            assert_same_plan(response, reference)
+        assert stats["batches"] >= 1
+        assert stats["fastpath"] > 0
 
     def test_farm_plan_and_replan(self, model_dir, monkeypatch):
         reference = serial_reference(model_dir)
