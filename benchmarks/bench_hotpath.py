@@ -256,16 +256,12 @@ def bench_mask(profile: str) -> "list[dict]":
 
     band, scale = EVAL_MATRIX[profile][-1]
     instance = generators.make_instance(band, seed=0, scale=scale)
-    env = PlanningEnv.__new__(PlanningEnv)  # skip evaluator/reward probe
-    from repro.topology.spectrum import SpectrumIndex
-    from repro.topology.transform import node_link_transform
-
-    env.instance = instance
-    env.max_units = 4
-    env.link_graph = node_link_transform(instance.network)
-    env.unit = instance.capacity_unit
-    env._spectrum = SpectrumIndex(instance.network)
-    env._capacities = instance.network.capacities()
+    # reward_scale skips the greedy reward probe.  Freshly reset, the
+    # env holds no step's spectrum headroom, so every timed mask runs
+    # the full query from the capacity vector.
+    env = PlanningEnv(instance, max_units_per_step=4, reward_scale=1.0)
+    env.reset()
+    capacities = env.capacities()
 
     def legacy_mask() -> np.ndarray:
         mask = np.zeros(env.num_actions, dtype=bool)
@@ -274,7 +270,7 @@ def bench_mask(profile: str) -> "list[dict]":
                 np.floor(
                     round(
                         instance.network.link_capacity_headroom(
-                            link_id, env._capacities
+                            link_id, capacities
                         )
                         / env.unit,
                         9,

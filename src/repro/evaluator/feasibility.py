@@ -60,13 +60,28 @@ def _demand_fingerprint(flows) -> str:
 
 
 @dataclass(frozen=True)
+class _FailureMask:
+    """The demand-independent part of one (failure, policy-filter) pair.
+
+    Which capacity rows zero out (failed links) and which flows stay
+    required (not exempted by a failed site or the policy filter).
+    Computed on a failure's first check and kept for the checker's
+    lifetime: a demand retarget changes neither.
+    """
+
+    zero_rows: np.ndarray  # capacity-row positions forced to 0 (failed links)
+    kept: np.ndarray  # bool per flow: required under this failure
+
+
+@dataclass(frozen=True)
 class _FailureTemplate:
     """Precomputed bound template for one (failure, policy-filter) pair.
 
-    Computed on the first check of a failure and reused for every
-    subsequent check: which capacity rows zero out, the per-flow serve
-    upper bounds after exemptions, and the required demand (summed in
-    flow order once, so repeated checks reuse the exact float).
+    Built from the pair's :class:`_FailureMask` and the current demands
+    on the first check after construction or a retarget, and reused for
+    every later check: the per-flow serve upper bounds after exemptions
+    and the required demand (summed in flow order once, so repeated
+    checks reuse the exact float).
     """
 
     zero_rows: np.ndarray  # capacity-row positions forced to 0 (failed links)
@@ -230,19 +245,19 @@ class FeasibilityChecker:
             [var.index for var in self._served_vars], dtype=np.int64
         )
 
-        # Hot-path state: capacity rows in insertion order (two per
-        # link), the link index behind each row, and the bounds as they
-        # currently stand in the model.  check() diffs its target
-        # bounds against these so unchanged rows are never touched.
+        # Hot-path state: the link index behind each capacity row (two
+        # per link, in _cap_rows order), the demands, and the bounds as
+        # they currently stand in the model.  check() diffs its target
+        # bounds against these so unchanged rows are never touched, and
+        # writes the rest by index (_cap_rows, _served_cols).
         self._link_ids = link_ids
-        self._capacity_constr_list = list(self._capacity_constrs.values())
-        self._cap_link_index = np.arange(len(self._capacity_constr_list)) // 2
+        self._cap_link_index = np.arange(len(self._cap_rows)) // 2
         self._last_cap_ub = np.array(
-            [c.ub for c in self._capacity_constr_list], dtype=np.float64
+            [c.ub for c in self._capacity_constrs.values()], dtype=np.float64
         )
-        self._last_serve_ub = np.array(
-            [flow.demand for flow in flows], dtype=np.float64
-        )
+        self._demands = np.array([flow.demand for flow in flows], dtype=np.float64)
+        self._last_serve_ub = self._demands.copy()
+        self._masks: dict[tuple, _FailureMask] = {}
         self._templates: dict[tuple, _FailureTemplate] = {}
 
     # ------------------------------------------------------------------
@@ -257,10 +272,12 @@ class FeasibilityChecker:
         the served-variable upper bounds and the per-failure templates.
         Retargeting therefore swaps the flow list, refreshes
         :attr:`demand_fingerprint` and drops the cached templates — the
-        next :meth:`check` delta-diffs the fresh serve bounds against
-        the model's current state, pushing only changed bounds into the
-        persistent backend.  The per-failure saved bases stay: any basis
-        is a valid warm start, and the old demands' is usually close.
+        next :meth:`check` rebuilds its failure's serve bounds from the
+        kept failure mask and delta-diffs them against the model's
+        current state, pushing only changed bounds into the persistent
+        backend.  The failure masks and the per-failure saved bases
+        stay: neither depends on demands (any basis is a valid warm
+        start, and the old demands' is usually close).
 
         Returns the number of flows whose demand changed.  Raises
         :class:`TrafficError` if the flow keys differ (a structural
@@ -282,6 +299,9 @@ class FeasibilityChecker:
         )
         self.instance = replace(self.instance, traffic=traffic)
         self._flows = new_flows
+        self._demands = np.array(
+            [flow.demand for flow in new_flows], dtype=np.float64
+        )
         self.demand_fingerprint = _demand_fingerprint(new_flows)
         self._templates.clear()
         telemetry.counter("solverfarm.retarget.calls")
@@ -317,13 +337,33 @@ class FeasibilityChecker:
         template = self._templates.get(key)
         if template is not None:
             return template
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = self._masks[key] = self._failure_mask(
+                failure, required_flow_indices
+            )
+        required_demand = 0.0
+        for demand in self._demands[mask.kept].tolist():
+            required_demand += demand
+        template = _FailureTemplate(
+            zero_rows=mask.zero_rows,
+            serve_ub=np.where(mask.kept, self._demands, 0.0),
+            required_demand=required_demand,
+        )
+        self._templates[key] = template
+        return template
 
+    def _failure_mask(
+        self,
+        failure: FailureScenario | None,
+        required_flow_indices: "set[int] | None",
+    ) -> _FailureMask:
+        """Failed capacity rows and required flows of one failure."""
         network = self.instance.network
         failed_links = (
             failure.failed_link_ids(network) if failure is not None else frozenset()
         )
         failed_nodes = failure.nodes if failure is not None else frozenset()
-
         zero_rows = np.array(
             [
                 row
@@ -333,29 +373,21 @@ class FeasibilityChecker:
             ],
             dtype=np.int64,
         )
-
-        serve_ub = np.empty(len(self._flows), dtype=np.float64)
-        required_demand = 0.0
-        for i, flow in enumerate(self._flows):
-            exempt = (
-                flow.src in failed_nodes
-                or flow.dst in failed_nodes
-                or (
-                    required_flow_indices is not None
-                    and i not in required_flow_indices
+        kept = np.array(
+            [
+                not (
+                    flow.src in failed_nodes
+                    or flow.dst in failed_nodes
+                    or (
+                        required_flow_indices is not None
+                        and i not in required_flow_indices
+                    )
                 )
-            )
-            serve_ub[i] = 0.0 if exempt else flow.demand
-            if not exempt:
-                required_demand += flow.demand
-
-        template = _FailureTemplate(
-            zero_rows=zero_rows,
-            serve_ub=serve_ub,
-            required_demand=required_demand,
+                for i, flow in enumerate(self._flows)
+            ],
+            dtype=bool,
         )
-        self._templates[key] = template
-        return template
+        return _FailureMask(zero_rows=zero_rows, kept=kept)
 
     def check(
         self,
@@ -383,22 +415,18 @@ class FeasibilityChecker:
         cap_ub = cap_values[self._cap_link_index]
         if template.zero_rows.size:
             cap_ub[template.zero_rows] = 0.0
-        changed = np.nonzero(cap_ub != self._last_cap_ub)[0]
+        changed = np.flatnonzero(cap_ub != self._last_cap_ub)
         if changed.size:
-            self._model.set_row_ubs(
-                [self._capacity_constr_list[j] for j in changed],
-                cap_ub[changed],
-            )
-            self._last_cap_ub[changed] = cap_ub[changed]
+            values = cap_ub[changed]
+            self._model.set_row_ubs_at(self._cap_rows[changed], values)
+            self._last_cap_ub[changed] = values
 
         # Serve bounds reflect exemptions, same delta treatment.
-        serve_changed = np.nonzero(template.serve_ub != self._last_serve_ub)[0]
+        serve_changed = np.flatnonzero(template.serve_ub != self._last_serve_ub)
         if serve_changed.size:
-            self._model.set_var_ubs(
-                [self._served_vars[i] for i in serve_changed],
-                template.serve_ub[serve_changed],
-            )
-            self._last_serve_ub[serve_changed] = template.serve_ub[serve_changed]
+            values = template.serve_ub[serve_changed]
+            self._model.set_var_ubs_at(self._served_cols[serve_changed], values)
+            self._last_serve_ub[serve_changed] = values
         required_demand = template.required_demand
 
         # Each failure restarts from its own last optimal basis, not

@@ -83,6 +83,7 @@ from repro.rl.rollouts import (
     check_parallelism,
     merge_fragments,
 )
+from repro.rl.state import normalize_features
 from repro.seeding import stream_generator
 from repro.topology.instance import PlanningInstance
 
@@ -212,10 +213,11 @@ class BatchedPlanningEnv:
     Slot state lives in a ``(K, num_links)`` capacity array (mirrored by
     per-slot dicts for the evaluator and the cost model), so the action
     mask, the spectrum guard and the state encoding for *every* slot are
-    one vectorized query each.  The LP evaluator and the incremental
-    cost run per slot through the same scalar calls ``PlanningEnv``
-    makes, keeping each slot's rewards and termination bitwise identical
-    to a standalone environment.
+    one vectorized query each.  The LP evaluator and the plan cost run
+    per slot through the same scalar calls ``PlanningEnv`` makes, and
+    each slot carries its plan cost the same way, keeping each slot's
+    rewards and termination bitwise identical to a standalone
+    environment.
     """
 
     def __init__(self, instance: PlanningInstance, num_envs: int, **env_kwargs):
@@ -247,6 +249,7 @@ class BatchedPlanningEnv:
         ]
         self._caps = np.zeros((num_envs, self.num_links))
         self._caps_dicts: list[dict[str, float]] = [{} for _ in range(num_envs)]
+        self._plan_costs = [0.0] * num_envs
         self._steps = np.zeros(num_envs, dtype=np.int64)
         self._done = np.ones(num_envs, dtype=bool)
         self._feasible = np.zeros(num_envs, dtype=bool)
@@ -262,9 +265,11 @@ class BatchedPlanningEnv:
             dtype=np.float64,
             count=self.num_links,
         )
+        base_cost = self.instance.cost_model.plan_cost(self.instance.network, base)
         for slot in range(self.num_envs):
             self._caps_dicts[slot] = dict(base)
             self._caps[slot] = base_vec
+            self._plan_costs[slot] = base_cost
             self.evaluators[slot].reset()
             result = self.evaluators[slot].evaluate(self._caps_dicts[slot])
             self._feasible[slot] = result.feasible
@@ -284,9 +289,7 @@ class BatchedPlanningEnv:
         return dict(self._caps_dicts[slot])
 
     def plan_cost(self, slot: int) -> float:
-        return self.instance.cost_model.plan_cost(
-            self.instance.network, self._caps_dicts[slot]
-        )
+        return self._plan_costs[slot]
 
     # -- vectorized queries ---------------------------------------------
     def _fiber_headroom_cols(self, slots: np.ndarray) -> np.ndarray:
@@ -330,10 +333,7 @@ class BatchedPlanningEnv:
                     for slot in slots
                 ]
             )
-        mean = features.mean(axis=1, keepdims=True)
-        std = features.std(axis=1, keepdims=True)
-        std = np.where(std < 1e-9, 1.0, std)
-        return (features - mean) / std
+        return normalize_features(features, axis=1)
 
     # -- stepping --------------------------------------------------------
     def step_slots(
@@ -342,12 +342,12 @@ class BatchedPlanningEnv:
         """Apply one action per slot; return (reward, done, feasible) each.
 
         Mirrors :meth:`PlanningEnv.step` slot for slot: capacity update,
-        spectrum guard, Eq. 1 incremental reward, LP evaluation and
-        termination — only the spectrum guard is shared across slots.
+        spectrum guard, Eq. 1 incremental reward against the carried
+        plan cost, LP evaluation and termination — only the spectrum
+        guard is shared across slots.
         """
         cost_model = self.instance.cost_model
         network = self.instance.network
-        befores = []
         amounts = []
         links = []
         for slot, action in zip(slots, actions):
@@ -360,7 +360,6 @@ class BatchedPlanningEnv:
             link_index, units_index = divmod(int(action), self.max_units)
             link_id = self.link_ids[link_index]
             amount = (units_index + 1) * self.unit
-            befores.append(dict(self._caps_dicts[slot]))
             amounts.append(amount)
             links.append(link_id)
             self._caps_dicts[slot][link_id] = (
@@ -378,9 +377,11 @@ class BatchedPlanningEnv:
             )
 
         results: list[tuple[float, bool, bool]] = []
-        for slot, before, amount, link_id in zip(slots, befores, amounts, links):
+        for slot, amount, link_id in zip(slots, amounts, links):
             capacities = self._caps_dicts[slot]
-            added_cost = cost_model.incremental_cost(network, before, capacities)
+            plan_cost = cost_model.plan_cost(network, capacities)
+            added_cost = plan_cost - self._plan_costs[slot]
+            self._plan_costs[slot] = plan_cost
             reward = -added_cost / self.reward_scale
             self._steps[slot] += 1
             bound = self._shortfall_bounds[slot]

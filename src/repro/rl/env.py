@@ -27,7 +27,7 @@ from repro.errors import ConfigError, EnvironmentError_
 from repro.evaluator import EvaluationResult, PlanEvaluator
 from repro.nn.gnn import normalized_adjacency, normalized_adjacency_sparse
 from repro.planning.greedy import GreedyPlanner
-from repro.rl.state import StateEncoder
+from repro.rl.state import StateEncoder, normalize_features
 from repro.topology.instance import PlanningInstance
 from repro.topology.spectrum import SpectrumIndex
 from repro.topology.transform import node_link_transform
@@ -197,7 +197,18 @@ class PlanningEnv:
             if reward_scale is not None
             else self._default_reward_scale()
         )
+        # Episode state.  ``_capacities`` (dict, for the evaluator and
+        # the cost model) and ``_capacity_vector`` (link-graph order, for
+        # the spectrum and the observation) hold the same floats; only
+        # _reset_at and step write them.  ``_plan_cost`` is the Eq. 1
+        # cost of those capacities, carried so a step costs one sum.
         self._capacities: dict[str, float] = {}
+        self._capacity_vector = np.zeros(self.link_graph.num_nodes)
+        self._plan_cost = 0.0
+        # Fiber headroom the last step's spectrum guard computed (None
+        # after a reset), reused by the next action_mask().
+        self._step_fiber_headroom: "np.ndarray | None" = None
+        self._unit_offsets = np.arange(self.max_units)
         self._steps = 0
         self._done = True
         self._feasible = False
@@ -250,22 +261,34 @@ class PlanningEnv:
 
     def decode_action(self, action: int) -> tuple[str, int]:
         """Map a flat action index to (link id, units to add)."""
+        link_index, units = self._decode(action)
+        return self.link_graph.link_ids[link_index], units
+
+    def _decode(self, action: int) -> tuple[int, int]:
+        """Flat action index -> (link index, units to add)."""
         if not 0 <= action < self.num_actions:
             raise EnvironmentError_(f"action {action} out of range")
         link_index, units_index = divmod(action, self.max_units)
-        return self.link_graph.link_ids[link_index], units_index + 1
+        return link_index, units_index + 1
 
     def action_mask(self) -> np.ndarray:
         """Valid-action mask from the spectrum constraints (Eq. 4).
 
         Vectorized over the precomputed :class:`SpectrumIndex`: one
         sparse matvec yields every link's headroom at once, and the
-        per-(link, units) mask falls out of a single comparison.
+        per-(link, units) mask falls out of a single comparison.  After
+        a step the matvec is the one the step's spectrum guard already
+        ran over the same capacities.
         """
-        headroom = self._spectrum.link_headroom(self._capacities)
-        units = np.floor(np.round(headroom / self.unit, 9))
+        fiber_headroom = self._step_fiber_headroom
+        if fiber_headroom is None:
+            fiber_headroom = self._spectrum.vector_fiber_headroom(
+                self._capacity_vector
+            )
+        headroom = self._spectrum.binding_link_headroom(fiber_headroom)
+        units = np.floor((headroom / self.unit).round(9))
         allowed = np.minimum(units, self.max_units)
-        mask = np.arange(self.max_units)[None, :] < allowed[:, None]
+        mask = self._unit_offsets[None, :] < allowed[:, None]
         return mask.reshape(-1)
 
     # ------------------------------------------------------------------
@@ -318,6 +341,11 @@ class PlanningEnv:
 
     def _reset_at(self, capacities: dict[str, float]) -> np.ndarray:
         self._capacities = capacities
+        self._capacity_vector = self._spectrum.capacity_vector(capacities)
+        self._plan_cost = self.instance.cost_model.plan_cost(
+            self.instance.network, capacities
+        )
+        self._step_fiber_headroom = None
         self._steps = 0
         self.evaluator.reset()
         result = self._evaluate_memoized()
@@ -344,6 +372,10 @@ class PlanningEnv:
         return changed
 
     def observation(self) -> np.ndarray:
+        if self.encoder.feature_set == "capacity":
+            # The vector holds exactly the dict's values, so these are
+            # StateEncoder.raw_features(self._capacities).
+            return normalize_features(self._capacity_vector[:, None])
         return self.encoder.encode(self._capacities)
 
     @property
@@ -365,18 +397,26 @@ class PlanningEnv:
         """Apply an action; return the dense reward and termination."""
         if self._done:
             raise EnvironmentError_("step() called on a finished trajectory")
-        link_id, units = self.decode_action(action)
+        link_index, units = self._decode(action)
+        link_id = self.link_graph.link_ids[link_index]
         amount = units * self.unit
-        before = dict(self._capacities)
-        self._capacities[link_id] = self._capacities[link_id] + amount
-        if not self._spectrum.feasible(self._capacities):
+        capacity = self._capacities[link_id] + amount
+        self._capacities[link_id] = capacity
+        self._capacity_vector[link_index] = capacity
+        fiber_headroom = self._spectrum.vector_fiber_headroom(self._capacity_vector)
+        self._step_fiber_headroom = fiber_headroom
+        if not (fiber_headroom >= -1e-9).all():
             raise EnvironmentError_(
                 f"action on {link_id} violates spectrum; the action mask "
                 "must be applied before sampling"
             )
-        added_cost = self.instance.cost_model.incremental_cost(
-            self.instance.network, before, self._capacities
+        # incremental_cost(before, after) is plan_cost(after) minus
+        # plan_cost(before); the latter is the carried cost.
+        plan_cost = self.instance.cost_model.plan_cost(
+            self.instance.network, self._capacities
         )
+        added_cost = plan_cost - self._plan_cost
+        self._plan_cost = plan_cost
         reward = -added_cost / self.reward_scale
         self._steps += 1
 
@@ -414,6 +454,4 @@ class PlanningEnv:
     # ------------------------------------------------------------------
     def plan_cost(self) -> float:
         """Eq. 1 cost of the current capacity assignment."""
-        return self.instance.cost_model.plan_cost(
-            self.instance.network, self._capacities
-        )
+        return self._plan_cost

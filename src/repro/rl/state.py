@@ -66,8 +66,24 @@ class StateEncoder:
 
     def encode(self, capacities: dict[str, float]) -> np.ndarray:
         """Normalized (n x d) node features (mean 0, std 1 per dim)."""
-        features = self.raw_features(capacities)
-        mean = features.mean(axis=0, keepdims=True)
-        std = features.std(axis=0, keepdims=True)
-        std = np.where(std < 1e-9, 1.0, std)
-        return (features - mean) / std
+        return normalize_features(self.raw_features(capacities))
+
+
+def normalize_features(features: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Standardize ``features`` along ``axis`` (mean 0, std 1).
+
+    Runs the exact ufunc sequence ``np.mean`` and ``np.std`` run
+    internally (an ``add.reduce`` divided by the item count, then the
+    same over the squared deviations, then ``sqrt``) without their
+    Python-level wrappers, so the result is bitwise identical to
+    ``(f - f.mean(axis, keepdims=True)) / f.std(axis, keepdims=True)``
+    with near-zero spreads replaced by 1.  On a rollout's small feature
+    matrices the wrappers cost more than the arithmetic.
+    """
+    count = features.shape[axis]
+    centered = features - np.add.reduce(features, axis=axis, keepdims=True) / count
+    std = np.sqrt(
+        np.add.reduce(np.square(centered), axis=axis, keepdims=True) / count
+    )
+    std[std < 1e-9] = 1.0
+    return centered / std

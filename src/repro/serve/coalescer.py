@@ -22,22 +22,26 @@ reordering of identical gemms — it changes wall-clock, never bytes.
 
 Protocol
 --------
-Rollouts register through :meth:`ForwardCoalescer.rollout` (a context
-manager that tracks how many rollouts are in flight).  Each step calls
-``act(observation, mask)``:
+Only steps over the same adjacency can share a block-diagonal forward
+(instances built from different seeds draw different fiber graphs), so
+every rollout belongs to one adjacency *group*, and all bookkeeping is
+per group.  Rollouts register through :meth:`ForwardCoalescer.rollout`
+(a context manager that tracks how many rollouts of its group are in
+flight).  Each step calls ``act(observation, mask)``:
 
-* **fast path** — when the caller is the only registered rollout and
-  nothing is pending, the step runs as a batch of one through its
-  group's evaluator (:meth:`BatchedPolicyEvaluator.mode_action`)
-  without queueing, so both paths share one grad-free forward.
-  ``ServiceConfig(batching=False)`` builds no coalescer and keeps the
-  autodiff ``policy.distribution(...).mode()`` as the reference.
-* **coalesced path** — the step enqueues its observation and blocks.
-  The first waiter whose entry is still queued becomes the *leader*: it
-  waits until every registered rollout is pending (or ``max_batch`` is
-  reached, or the batch window expires), drains the queue, groups the
-  entries by adjacency fingerprint (different instance seeds have
-  different fiber graphs), runs one batched forward per group, and
+* **fast path** — when the caller is the only registered rollout of its
+  group and nothing of its group is pending, the step runs as a batch
+  of one through the group's evaluator
+  (:meth:`BatchedPolicyEvaluator.mode_action`) without queueing, so
+  both paths share one grad-free forward.  Rollouts of other groups
+  never make it wait.  ``ServiceConfig(batching=False)`` builds no
+  coalescer and keeps the autodiff ``policy.distribution(...).mode()``
+  as the reference.
+* **coalesced path** — the step enqueues its observation on its group
+  and blocks.  The first waiter whose entry is still queued becomes the
+  group's *leader*: it waits until every registered rollout of the
+  group is pending (or ``max_batch`` is reached, or the batch window
+  expires), drains the group's queue, runs one batched forward, and
   publishes per-row mode actions back to the waiters.  Leadership is
   re-elected from the remaining waiters after every batch, so a queue
   longer than ``max_batch`` never strands followers.
@@ -68,9 +72,9 @@ def adjacency_fingerprint(adjacency, sparse: bool) -> str:
     """Content hash of a normalized adjacency operator.
 
     Instances built from different seeds draw different fiber graphs, so
-    pending steps can only share a block-diagonal forward when their
-    adjacency bytes agree.  The fingerprint is computed once per env and
-    cached on it by the coalescer.
+    steps can only share a block-diagonal forward when their adjacency
+    bytes agree: the fingerprint names a rollout's group.  It is
+    computed once per env and cached on it by the coalescer.
     """
     digest = hashlib.sha256()
     if sparse:
@@ -86,22 +90,44 @@ def adjacency_fingerprint(adjacency, sparse: bool) -> str:
 
 
 class _Group:
-    """One adjacency fingerprint -> one cached batched evaluator."""
+    """One adjacency fingerprint's evaluator, rollouts and queue.
 
-    __slots__ = ("fingerprint", "evaluator")
+    ``cond`` guards every field but the evaluator.  The counters are summed over
+    groups by :meth:`ForwardCoalescer.stats`.
+    """
 
-    def __init__(self, fingerprint: str, evaluator: BatchedPolicyEvaluator):
-        self.fingerprint = fingerprint
+    __slots__ = (
+        "evaluator",
+        "cond",
+        "active",
+        "pending",
+        "leading",
+        "batches",
+        "coalesced",
+        "fastpath",
+        "max_size",
+        "histogram",
+    )
+
+    def __init__(self, evaluator: BatchedPolicyEvaluator):
         self.evaluator = evaluator
+        self.cond = threading.Condition()
+        self.active = 0
+        self.pending: "list[_Entry]" = []
+        self.leading = False
+        self.batches = 0
+        self.coalesced = 0
+        self.fastpath = 0
+        self.max_size = 0
+        self.histogram: dict[int, int] = {}
 
 
 class _Entry:
     """One pending rollout step awaiting a coalesced forward."""
 
-    __slots__ = ("group", "observation", "mask", "queued", "action", "error", "enqueued_at")
+    __slots__ = ("observation", "mask", "queued", "action", "error", "enqueued_at")
 
-    def __init__(self, group: _Group, observation, mask):
-        self.group = group
+    def __init__(self, observation, mask):
         self.observation = observation
         self.mask = mask
         self.queued = True
@@ -125,16 +151,8 @@ class ForwardCoalescer:
         self.policy = policy
         self.window_s = max(0.0, float(window_s))
         self.max_batch = int(max_batch)
-        self._cond = threading.Condition()
-        self._active = 0
-        self._pending: "list[_Entry]" = []
-        self._leading = False
+        self._lock = threading.Lock()
         self._groups: dict[str, _Group] = {}
-        self._batches = 0
-        self._coalesced = 0
-        self._fastpath = 0
-        self._max_size = 0
-        self._histogram: dict[int, int] = {}
 
     # -- registration ----------------------------------------------------
     def rollout(self, env):
@@ -146,93 +164,88 @@ class ForwardCoalescer:
         if fingerprint is None:
             fingerprint = adjacency_fingerprint(env.adjacency_norm, env.sparse_adjacency)
             env._coalescer_fp = fingerprint
-        with self._cond:
+        with self._lock:
             group = self._groups.get(fingerprint)
             if group is None:
                 evaluator = BatchedPolicyEvaluator(
                     self.policy, env.adjacency_norm, env.sparse_adjacency
                 )
-                group = _Group(fingerprint, evaluator)
+                group = _Group(evaluator)
                 self._groups[fingerprint] = group
         return group
 
     # -- per-step action --------------------------------------------------
     def _act(self, group: _Group, observation, mask) -> int:
-        with self._cond:
-            if self._active <= 1 and not self._pending:
-                self._fastpath += 1
-                fast = True
+        cond = group.cond
+        with cond:
+            if group.active <= 1 and not group.pending:
+                group.fastpath += 1
                 entry = None
             else:
-                fast = False
-                entry = _Entry(group, observation, mask)
-                self._pending.append(entry)
-                self._cond.notify_all()
-        if fast:
+                entry = _Entry(observation, mask)
+                group.pending.append(entry)
+                cond.notify_all()
+        if entry is None:
             telemetry.counter("serve.batch.fastpath")
             return group.evaluator.mode_action(observation, mask)
-        with self._cond:
+        with cond:
             while entry.action is None and entry.error is None:
-                if entry.queued and not self._leading:
-                    self._leading = True
+                if entry.queued and not group.leading:
+                    group.leading = True
                     try:
-                        self._lead()
+                        self._lead(group)
                     finally:
-                        self._leading = False
-                        self._cond.notify_all()
+                        group.leading = False
+                        cond.notify_all()
                 else:
-                    self._cond.wait(0.05)
+                    cond.wait(0.05)
         if entry.error is not None:
             raise entry.error
         return entry.action
 
-    def _lead(self) -> None:
-        """Collect a batch and run it.  Called with the lock held."""
+    def _lead(self, group: _Group) -> None:
+        """Collect a batch of ``group`` and run it.  Called with its lock held."""
+        cond = group.cond
         deadline = time.perf_counter() + self.window_s
         while True:
-            waiting = len(self._pending)
-            if waiting >= self.max_batch or waiting >= self._active:
+            waiting = len(group.pending)
+            if waiting >= self.max_batch or waiting >= group.active:
                 break
             remaining = deadline - time.perf_counter()
             if remaining <= 0:
                 break
-            self._cond.wait(remaining)
-        batch = self._pending[: self.max_batch]
-        del self._pending[: len(batch)]
+            cond.wait(remaining)
+        batch = group.pending[: self.max_batch]
+        del group.pending[: len(batch)]
         now = time.perf_counter()
         for item in batch:
             item.queued = False
             telemetry.observe("serve.batch.wait", now - item.enqueued_at)
-        self._batches += 1
-        self._coalesced += len(batch)
-        self._max_size = max(self._max_size, len(batch))
-        self._histogram[len(batch)] = self._histogram.get(len(batch), 0) + 1
+        group.batches += 1
+        group.coalesced += len(batch)
+        group.max_size = max(group.max_size, len(batch))
+        group.histogram[len(batch)] = group.histogram.get(len(batch), 0) + 1
         telemetry.counter("serve.batch.batches")
         telemetry.counter("serve.batch.coalesced", float(len(batch)))
         telemetry.observe("serve.batch.size", float(len(batch)))
-        self._cond.release()
+        cond.release()
         try:
-            self._compute(batch)
+            self._compute(group, batch)
         finally:
-            self._cond.acquire()
+            cond.acquire()
             for item in batch:
                 if item.action is None and item.error is None:
                     item.error = ServeError("coalesced forward died before publishing")
-            self._cond.notify_all()
+            cond.notify_all()
 
-    def _compute(self, batch: "list[_Entry]") -> None:
-        groups: dict[str, list[_Entry]] = {}
-        for item in batch:
-            groups.setdefault(item.group.fingerprint, []).append(item)
+    def _compute(self, group: _Group, batch: "list[_Entry]") -> None:
         try:
-            for entries in groups.values():
-                evaluator = entries[0].group.evaluator
-                features = np.stack([item.observation for item in entries])
-                masks = np.stack([item.mask for item in entries])
-                logits, _values = evaluator.forward(features, critic=False)
-                actions = mode_actions_rows(logits, masks)
-                for row, item in enumerate(entries):
-                    item.action = int(actions[row])
+            features = np.stack([item.observation for item in batch])
+            masks = np.stack([item.mask for item in batch])
+            logits, _values = group.evaluator.forward(features, critic=False)
+            actions = mode_actions_rows(logits, masks)
+            for row, item in enumerate(batch):
+                item.action = int(actions[row])
         except BaseException as exc:
             for item in batch:
                 if item.action is None:
@@ -241,36 +254,50 @@ class ForwardCoalescer:
 
     # -- introspection ----------------------------------------------------
     def stats(self) -> dict:
-        with self._cond:
-            return {
-                "batches": self._batches,
-                "coalesced_requests": self._coalesced,
-                "fastpath": self._fastpath,
-                "max_batch_size": self._max_size,
-                "histogram": {str(size): count for size, count in sorted(self._histogram.items())},
-                "groups": len(self._groups),
-            }
+        with self._lock:
+            groups = list(self._groups.values())
+        batches = coalesced = fastpath = max_size = 0
+        histogram: dict[int, int] = {}
+        for group in groups:
+            with group.cond:
+                batches += group.batches
+                coalesced += group.coalesced
+                fastpath += group.fastpath
+                max_size = max(max_size, group.max_size)
+                for size, count in group.histogram.items():
+                    histogram[size] = histogram.get(size, 0) + count
+        return {
+            "batches": batches,
+            "coalesced_requests": coalesced,
+            "fastpath": fastpath,
+            "max_batch_size": max_size,
+            "histogram": {
+                str(size): count for size, count in sorted(histogram.items())
+            },
+            "groups": len(groups),
+        }
 
 
 class _RolloutRegistration:
-    """Context manager binding one rollout's env to its coalescer."""
+    """Context manager binding one rollout's env to its group."""
 
     def __init__(self, coalescer: ForwardCoalescer, env):
         self._coalescer = coalescer
         self._env = env
+        self._group: "_Group | None" = None
 
     def __enter__(self):
         coalescer = self._coalescer
-        group = coalescer._group_for(self._env)
-        with coalescer._cond:
-            coalescer._active += 1
+        group = self._group = coalescer._group_for(self._env)
+        with group.cond:
+            group.active += 1
         return lambda observation, mask: coalescer._act(group, observation, mask)
 
     def __exit__(self, exc_type, exc, tb):
-        coalescer = self._coalescer
-        with coalescer._cond:
-            coalescer._active -= 1
-            coalescer._cond.notify_all()
+        group = self._group
+        with group.cond:
+            group.active -= 1
+            group.cond.notify_all()
         return False
 
 

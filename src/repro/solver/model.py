@@ -18,7 +18,9 @@ Row bounds, variable bounds and the signed objective vector are
 mirrored into persistent numpy arrays that grow with the model and are
 updated in place: ``Constraint.set_rhs`` / ``Variable.set_bounds``
 write single cells, and the bulk APIs (:meth:`Model.set_row_ubs`,
-:meth:`Model.set_var_ubs`) write vectorized slices.  ``optimize()``
+:meth:`Model.set_var_ubs`, and their by-index forms
+:meth:`Model.set_row_ubs_at` / :meth:`Model.set_var_ubs_at`) write
+vectorized slices.  ``optimize()``
 therefore rebuilds nothing -- per-solve cost is proportional to what
 changed since the last solve, not to the model size.
 
@@ -52,8 +54,11 @@ warm-start hint is emulated with an objective cutoff (see
 Both LP paths also expose the row duals of the last solve
 (:attr:`Model.row_duals`): HiGHS's ``getSolution().row_dual`` on the
 persistent instance, the ``eqlin`` / ``ineqlin`` marginals on linprog.
-They are kept as the backend's own result object and converted only
-when read, so a caller that never asks pays nothing.
+They, like the primal values, are kept as the backend's own result
+object and converted only when read, so a caller that never asks pays
+nothing.  The persistent path reads the objective with
+``getObjectiveValue()`` and copies the solver's info block only when
+telemetry wants the iteration count.
 """
 
 from __future__ import annotations
@@ -117,15 +122,12 @@ class _GrowableArray:
         return self._buf[: self._size]
 
 
-class RowDuals:
-    """Row duals of one LP solve, converted on first read.
+class _LazyVector:
+    """One solve's vector, converted from the backend's result on first read.
 
-    Holds the backend's own result object (a copied HiGHS solution or a
-    linprog result), so taking one costs a reference and it stays valid
-    after the model is re-solved.  :attr:`values` has one entry per
-    constraint, in the model's objective sense: the rate at which the
-    optimum moves with that constraint's binding bound (``>= 0`` for a
-    binding ``<=`` row of a maximization).
+    Holds a reader over the backend's own result object (a copied HiGHS
+    solution, a linprog or milp result), so taking one costs a
+    reference and it stays valid after the model is re-solved.
     """
 
     __slots__ = ("_read", "_values")
@@ -141,6 +143,18 @@ class RowDuals:
             # Racing readers convert twice and store equal arrays.
             values = self._values = self._read()
         return values
+
+
+class RowDuals(_LazyVector):
+    """Row duals of one LP solve, converted on first read.
+
+    :attr:`values` has one entry per constraint, in the model's
+    objective sense: the rate at which the optimum moves with that
+    constraint's binding bound (``>= 0`` for a binding ``<=`` row of a
+    maximization).
+    """
+
+    __slots__ = ()
 
 
 class _PersistentLPError(Exception):
@@ -184,9 +198,10 @@ class _PersistentLP:
         self._basis_key = None
 
     def update_rows(self, indices, lower, upper) -> None:
+        """Push row bounds; all three are plain lists of Python numbers."""
         highs = self._highs
         for index, lb, ub in zip(indices, lower, upper):
-            highs.changeRowBounds(int(index), float(lb), float(ub))
+            highs.changeRowBounds(index, lb, ub)
 
     def update_cols(self, indices, lower, upper) -> None:
         idx = np.asarray(indices, dtype=np.int32)
@@ -223,15 +238,17 @@ class _PersistentLP:
         model_status = highs.getModelStatus()
         core = _highs_core.HighsModelStatus
         if model_status == core.kOptimal:
-            info = highs.getInfo()
             if telemetry.enabled():
-                telemetry.counter("solver.lp_iterations", info.simplex_iteration_count)
+                # getInfo() copies every info field; only telemetry
+                # reads one of them.
+                telemetry.counter(
+                    "solver.lp_iterations", highs.getInfo().simplex_iteration_count
+                )
             if basis_key is not None:
                 self._bases[basis_key] = highs.getBasis()
                 self._basis_key = basis_key
-            objective = float(info.objective_function_value)
             # getSolution() returns a copy, so it outlives later re-solves.
-            return Status.OPTIMAL, objective, highs.getSolution()
+            return Status.OPTIMAL, highs.getObjectiveValue(), highs.getSolution()
         if model_status == core.kInfeasible:
             return Status.INFEASIBLE, None, None
         if model_status == core.kUnbounded:
@@ -239,6 +256,12 @@ class _PersistentLP:
         # kUnboundedOrInfeasible and anything exotic: let the linprog
         # path (with its own presolve configuration) disambiguate.
         raise _PersistentLPError(f"unexpected HiGHS status {model_status}")
+
+
+def _solution_of(result) -> _LazyVector:
+    """The primal values of a linprog or milp result."""
+    x = result.x
+    return _LazyVector(lambda: np.asarray(x))
 
 
 def _linprog_row_duals(result, eq_mask, ub_mask, lb_mask) -> np.ndarray:
@@ -333,7 +356,7 @@ class Model:
         self._sense = 1  # 1 = minimize, -1 = maximize
         self._matrix: sp.csr_matrix | None = None
         self._lp_split: tuple | None = None
-        self._solution: np.ndarray | None = None
+        self._solution: _LazyVector | None = None
         self._row_duals: RowDuals | None = None
         self._objective_value: float | None = None
         self._status = Status.NOT_SOLVED
@@ -461,8 +484,7 @@ class Model:
         """Vectorized ``set_rhs(ub=...)`` over many constraints at once.
 
         ``values`` must align with ``constrs``; lower bounds are left
-        untouched.  One numpy write replaces per-row ``set_rhs`` calls
-        on the evaluator's hot path.
+        untouched.  One numpy write replaces per-row ``set_rhs`` calls.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (len(constrs),):
@@ -475,12 +497,23 @@ class Model:
         indices = np.fromiter(
             (c.index for c in constrs), dtype=np.int64, count=len(constrs)
         )
-        if np.any(self._row_lb.array[indices] > values + 1e-12):
+        self.set_row_ubs_at(indices, values)
+
+    def set_row_ubs_at(self, indices: np.ndarray, values: np.ndarray) -> None:
+        """:meth:`set_row_ubs` by row index: the evaluator's hot path.
+
+        ``indices`` (int64) and ``values`` (float64) are aligned 1-D
+        arrays; no ``Constraint`` list is built.  The constraints'
+        ``ub`` mirrors are kept in step.
+        """
+        if (self._row_lb.array[indices] > values + 1e-12).any():
             raise SolverError("set_row_ubs: lb exceeds ub for at least one row")
         self._row_ub.array[indices] = values
-        for constr, value in zip(constrs, values.tolist()):
-            constr.ub = value
-        self._dirty_rows.update(indices.tolist())
+        rows = indices.tolist()
+        constraints = self.constraints
+        for index, value in zip(rows, values.tolist()):
+            constraints[index].ub = value
+        self._dirty_rows.update(rows)
         self._mark_solution_stale()
 
     def set_var_ubs(self, variables: Sequence[Variable], values) -> None:
@@ -496,12 +529,18 @@ class Model:
         indices = np.fromiter(
             (v.index for v in variables), dtype=np.int64, count=len(variables)
         )
-        if np.any(self._var_lb.array[indices] > values + 1e-12):
+        self.set_var_ubs_at(indices, values)
+
+    def set_var_ubs_at(self, indices: np.ndarray, values: np.ndarray) -> None:
+        """:meth:`set_var_ubs` by variable index (see :meth:`set_row_ubs_at`)."""
+        if (self._var_lb.array[indices] > values + 1e-12).any():
             raise SolverError("set_var_ubs: lb exceeds ub for at least one variable")
         self._var_ub.array[indices] = values
-        for var, value in zip(variables, values.tolist()):
-            var.ub = value
-        self._dirty_cols.update(indices.tolist())
+        cols = indices.tolist()
+        variables = self.variables
+        for index, value in zip(cols, values.tolist()):
+            variables[index].ub = value
+        self._dirty_cols.update(cols)
         self._mark_solution_stale()
 
     @property
@@ -777,8 +816,8 @@ class Model:
                 indices = sorted(self._dirty_rows)
                 persistent.update_rows(
                     indices,
-                    self._row_lb.array[indices],
-                    self._row_ub.array[indices],
+                    self._row_lb.array[indices].tolist(),
+                    self._row_ub.array[indices].tolist(),
                 )
                 self._dirty_rows.clear()
             if self._dirty_cols:
@@ -801,7 +840,12 @@ class Model:
         self._cutoff_dirty = False
         status, objective, solution = persistent.solve(basis_key)
         if status is Status.OPTIMAL:
-            self._solution = np.asarray(solution.col_value, dtype=np.float64)
+            # Copying the primal values out of the HiGHS solution is
+            # deferred until something reads them; the feasibility
+            # checker only reads the objective and the duals.
+            self._solution = _LazyVector(
+                lambda: np.asarray(solution.col_value, dtype=np.float64)
+            )
             self._objective_value = objective * self._sense
             num_rows, sense = len(self.constraints), self._sense
             self._row_duals = RowDuals(
@@ -839,7 +883,7 @@ class Model:
             options=options,
         )
         if result.status == 0:
-            self._solution = np.asarray(result.x)
+            self._solution = _solution_of(result)
             self._objective_value = float(result.fun) * self._sense
             num_rows, sense = len(self.constraints), self._sense
             masks = (eq_mask, ub_mask, lb_mask)
@@ -883,13 +927,13 @@ class Model:
             options=options,
         )
         if result.status == 0:
-            self._solution = np.asarray(result.x)
+            self._solution = _solution_of(result)
             self._objective_value = float(result.fun) * self._sense
             return Status.OPTIMAL
         if result.status == 1:
             # Iteration/time limit; HiGHS may still return an incumbent.
             if result.x is not None:
-                self._solution = np.asarray(result.x)
+                self._solution = _solution_of(result)
                 self._objective_value = float(result.fun) * self._sense
             return Status.TIME_LIMIT
         if result.status == 2:
@@ -943,21 +987,22 @@ class Model:
         """Number of optimize calls on this model (for instrumentation)."""
         return self._solve_count
 
-    def _value_of(self, var: Variable) -> float:
+    def _primal(self) -> np.ndarray:
+        """The last solve's variable values."""
         if self._solution is None:
             raise SolverError("no solution available; call optimize() first")
-        return float(self._solution[var.index])
+        return self._solution.values
+
+    def _value_of(self, var: Variable) -> float:
+        return float(self._primal()[var.index])
 
     def _row_activity(self, constr: Constraint) -> float:
-        if self._solution is None:
-            raise SolverError("no solution available; call optimize() first")
+        solution = self._primal()
         matrix = self._compiled_matrix()
         start, end = matrix.indptr[constr.index], matrix.indptr[constr.index + 1]
         columns = matrix.indices[start:end]
-        return float(matrix.data[start:end] @ self._solution[columns])
+        return float(matrix.data[start:end] @ solution[columns])
 
     def values(self, variables: Sequence[Variable]) -> np.ndarray:
         """Vectorized solution access for a list of variables."""
-        if self._solution is None:
-            raise SolverError("no solution available; call optimize() first")
-        return self._solution[[v.index for v in variables]]
+        return self._primal()[[v.index for v in variables]]

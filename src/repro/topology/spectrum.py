@@ -81,7 +81,11 @@ class SpectrumIndex:
 
     def fiber_headroom(self, capacities: Mapping[str, float]) -> np.ndarray:
         """Remaining spectrum per fiber (may be negative if violated)."""
-        return self._max_spectrum - self._usage @ self.capacity_vector(capacities)
+        return self.vector_fiber_headroom(self.capacity_vector(capacities))
+
+    def vector_fiber_headroom(self, vector: np.ndarray) -> np.ndarray:
+        """:meth:`fiber_headroom` of a capacity vector in canonical order."""
+        return self._max_spectrum - self._usage @ vector
 
     def link_headroom(self, capacities: Mapping[str, float]) -> np.ndarray:
         """Per-link max additional Gbps (the action-mask input).
@@ -90,9 +94,12 @@ class SpectrumIndex:
         minimum headroom along the fiber path, clamped at zero,
         converted to Gbps by the link's spectral efficiency.
         """
-        headroom = self.fiber_headroom(capacities)
+        return self.binding_link_headroom(self.fiber_headroom(capacities))
+
+    def binding_link_headroom(self, fiber_headroom: np.ndarray) -> np.ndarray:
+        """:meth:`link_headroom` from an already computed fiber headroom."""
         binding = np.minimum.reduceat(
-            headroom[self._path_fibers], self._path_offsets
+            fiber_headroom[self._path_fibers], self._path_offsets
         )
         return np.maximum(binding, 0.0) / self._spectral_efficiency
 

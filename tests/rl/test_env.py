@@ -148,7 +148,9 @@ class TestActionMask:
         )
         units_left = int(headroom // env.unit)
         # Fill all but one unit.
-        env._capacities[link_id] += (units_left - 1) * env.unit
+        capacities = env.capacities()
+        capacities[link_id] += (units_left - 1) * env.unit
+        env.reset_from(capacities)
         mask = env.action_mask()
         index = env.link_graph.index_of(link_id)
         base = index * env.max_units
