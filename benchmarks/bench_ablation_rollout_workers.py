@@ -2,7 +2,9 @@
 
 The paper's Fig. 9 scalability story assumes trajectories are gathered
 from many environment replicas at once; this benchmark measures exactly
-that axis: steps/second of the serial collector vs the group pool
+that axis: steps/second of the frozen serial autodiff loop
+(``SerialAutodiffCollector`` in ``frozen_references.py``, a fixed
+baseline that production speedups cannot move) vs the group pool
 (``BatchedRolloutCollector`` at ``num_envs=1``, one stream per group) at
 1, 2 and 4 workers, on one topology-A environment whose step cost is
 dominated by the stateful failure checker.  One worker runs the groups
@@ -21,9 +23,13 @@ from repro.experiments.scaling import get_profile
 from repro.rl.batched import BatchedRolloutCollector
 from repro.rl.env import PlanningEnv
 from repro.rl.policy import ActorCriticPolicy
-from repro.rl.rollouts import make_collector
 from repro.seeding import as_generator
 from repro.topology import generators
+
+try:
+    from benchmarks.frozen_references import SerialAutodiffCollector
+except ImportError:  # imported top-level, with benchmarks/ on sys.path
+    from frozen_references import SerialAutodiffCollector
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -65,7 +71,7 @@ def run_scaling() -> list:
     rows = []
 
     env, policy = build_env_policy()
-    serial = make_collector(env, policy, as_generator(0))
+    serial = SerialAutodiffCollector(env, policy, as_generator(0))
     serial_seconds, serial_steps, _ = timed_collect(serial, budget)
     rows.append(
         {

@@ -4,9 +4,11 @@
 runs the policy forward over all of them at once, so the GNN/MLP work
 amortizes across replicas while each environment keeps its own LP
 evaluator and RNG stream.  This benchmark measures exactly that axis:
-merged steps/second at K in {1, 4, 16, 64} on one topology-A instance,
-using the production collector factory (K=1 is the serial collector,
-so the speedup column is batched-vs-serial).
+merged steps/second at K in {1, 4, 16, 64} on one topology-A instance.
+K > 1 runs the production collector factory; K=1 runs the frozen serial
+autodiff loop (``SerialAutodiffCollector`` in ``frozen_references.py``),
+so the speedup column is batched-vs-serial and does not move when the
+production K=1 path gets faster.
 
 The workload uses a fine capacity unit (2.5 Gbps) so trajectories run
 long before feasibility — the paper's regime (max trajectory length
@@ -23,7 +25,7 @@ contract is asserted on the measured
 batches themselves: trajectory ``s`` is seeded by ``(seed, epoch, s)``
 regardless of K, so the merged reward stream is bitwise invariant
 across batched env counts (a larger budget only appends trajectories).
-The K=1 baseline runs the legacy serial collector, whose single
+The K=1 baseline runs the frozen serial loop, whose single
 sequential RNG is a different, documented seeding scheme — the batched
 parity story lives in ``tests/rl/test_batched.py``, which checks batched
 streams against per-stream autodiff rollouts transition by transition.
@@ -38,6 +40,11 @@ from repro.rl.env import PlanningEnv
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.rollouts import make_collector
 from repro.topology import generators
+
+try:
+    from benchmarks.frozen_references import SerialAutodiffCollector
+except ImportError:  # imported top-level, with benchmarks/ on sys.path
+    from frozen_references import SerialAutodiffCollector
 
 ENV_COUNTS = (1, 4, 16, 64)
 MAX_STEPS = 128
@@ -68,14 +75,17 @@ def lp_solves(collector, env) -> int:
 def timed_collect(num_envs: int, budget: int):
     """One warmed, timed collection round; returns (seconds, rewards, LPs)."""
     env, policy = build_env_policy()
-    collector = make_collector(
-        env,
-        policy,
-        np.random.default_rng(0),
-        num_workers=1,
-        num_envs=num_envs,
-        seed=0,
-    )
+    if num_envs == 1:
+        collector = SerialAutodiffCollector(env, policy, np.random.default_rng(0))
+    else:
+        collector = make_collector(
+            env,
+            policy,
+            np.random.default_rng(0),
+            num_workers=1,
+            num_envs=num_envs,
+            seed=0,
+        )
     try:
         # Warm round: fused-path audits, LP template assembly and
         # allocator churn are not billed to the measured round.
@@ -135,8 +145,8 @@ def run_scaling(profile_name: "str | None" = None) -> list:
     # The determinism contract on the measured batches: trajectory s is
     # seeded by (seed, epoch, s) regardless of K, and merge order is by
     # s — so every batched K's merged reward stream starts with the
-    # smallest batched K's stream.  (K=1 is the legacy serial backend
-    # with its own sequential-RNG scheme, so it is not in this check.)
+    # smallest batched K's stream.  (K=1 is the frozen serial loop with
+    # its own sequential-RNG scheme, so it is not in this check.)
     reference = reward_streams[ENV_COUNTS[1]]
     for num_envs in ENV_COUNTS[2:]:
         prefix = reward_streams[num_envs][: len(reference)]

@@ -4,12 +4,11 @@
 links whose spectrum budget is exhausted, and the policy samples only
 among valid actions (Section 4.2, "action mask").
 
-:class:`BatchedCategorical` is the row-wise generalization used by the
-batched multi-environment collector (:mod:`repro.rl.batched`): one
+:class:`BatchedCategorical` is the row-wise generalization the batched
+training forward (:class:`repro.rl.batched.BatchedForward`) builds: one
 ``(m, A)`` logit matrix holds ``m`` independent masked categoricals.
-Every row-local operation (sampling, log-prob, entropy) uses exactly
-the arithmetic of the 1-D class, so a row's results do not depend on
-which other rows share the batch.
+Its log-probs and entropies are row-local, so a row's results do not
+depend on which other rows share the batch.
 """
 
 from __future__ import annotations
@@ -112,23 +111,6 @@ class BatchedCategorical:
     @property
     def num_slots(self) -> int:
         return self.log_probs.shape[0]
-
-    def probs_row(self, row: int) -> np.ndarray:
-        return np.exp(self.log_probs.data[row])
-
-    def sample_row(self, row: int, rng: np.random.Generator) -> int:
-        """Draw one action for slot ``row`` from its own RNG stream.
-
-        Row-local arithmetic identical to :meth:`Categorical.sample`, so
-        a slot's draw depends only on its logits row and its generator.
-        """
-        probs = self.probs_row(row)
-        probs = probs / probs.sum()  # guard tiny numeric drift
-        return int(rng.choice(len(probs), p=probs))
-
-    def mode_row(self, row: int) -> int:
-        """Most likely action for slot ``row``."""
-        return int(np.argmax(self.log_probs.data[row]))
 
     def log_prob(self, actions) -> Tensor:
         """Differentiable per-slot log-probabilities, shape (m,)."""

@@ -8,14 +8,15 @@
   heads (Fig. 6).
 - :mod:`repro.rl.gae` -- GAE(lambda) advantages (Eq. 6) and
   rewards-to-go.
-- :mod:`repro.rl.rollouts` -- the trajectory data model, the serial
-  collector (byte-identical to the legacy inline loops) and the
+- :mod:`repro.rl.rollouts` -- the trajectory data model and the
   collector factory.
-- :mod:`repro.rl.batched` -- batched collection (``num_envs`` lockstep
-  environments share one policy forward, groups spread over
-  ``num_workers`` processes) and the batched training forward every
-  update differentiates; merged batches are bitwise independent of
-  ``num_envs``, worker count and scheduling.
+- :mod:`repro.rl.batched` -- the one rollout collector (``num_envs``
+  lockstep environments share one grad-free policy forward, groups
+  spread over ``num_workers`` processes) and the batched training
+  forward every update differentiates.  At ``(1, 1)`` it replays the
+  trainer's serial RNG stream byte for byte; otherwise merged batches
+  are bitwise independent of ``num_envs``, worker count and
+  scheduling.
 - :mod:`repro.rl.a2c` -- the actor-critic trainer.
 - :mod:`repro.rl.agent` -- the train/rollout facade that produces the
   first-stage plan.
@@ -28,7 +29,6 @@ from repro.rl.gae import discounted_returns, gae_advantages
 from repro.rl.rollouts import (
     Fragment,
     RolloutBatch,
-    SerialRolloutCollector,
     Transition,
     make_collector,
     merge_fragments,
@@ -51,7 +51,6 @@ __all__ = [
     "Fragment",
     "merge_fragments",
     "RolloutBatch",
-    "SerialRolloutCollector",
     "Transition",
     "make_collector",
     "PlanningEnv",

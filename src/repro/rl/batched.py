@@ -20,8 +20,9 @@ environment:
   collected transitions through a shared block-diagonal CSR adjacency
   (``Tensor.sparse_matmul``), instead of one tiny autodiff graph per
   transition.
-- :class:`BatchedRolloutCollector` drives groups of ``K`` streams in
-  lockstep and merges their fragments in stream order.
+- :class:`BatchedRolloutCollector`, the only rollout collector, drives
+  groups of ``K`` streams in lockstep and merges their fragments in
+  stream order.
 
 Determinism contract
 --------------------
@@ -37,6 +38,12 @@ bit for bit.  Two properties follow:
   rollouts through the autodiff policy).
 - **Worker-invariance**: groups are keyed by index, so the batch is
   also bitwise identical for any ``num_workers``.
+
+The same arithmetic also carries the serial stream: built with the
+trainer's generator at ``num_envs=1, num_workers=1``, the collector
+draws every trajectory from it back to back and stops at exactly the
+step budget, replaying the legacy autodiff loop byte for byte (see
+:mod:`repro.rl.rollouts`).
 
 Bitwise parity with the serial forward is *engineered*, not assumed:
 BLAS matmul results depend on the operand shapes (kernel selection and
@@ -143,31 +150,17 @@ def rowblock_matmul(x: np.ndarray, w: np.ndarray, block: int) -> np.ndarray:
     return _slab_matmul(x, w, block)
 
 
-def _mlp_rows(mlp: MLP, x: np.ndarray, block: int) -> np.ndarray:
-    """Run an :class:`MLP` over 2-D rows with slab-exact matmuls."""
+def _replay_mlp(mlp: MLP, x: np.ndarray, matmul=np.matmul) -> np.ndarray:
+    """Run an :class:`MLP`'s modules on ``x`` with ``matmul`` as its product.
+
+    The one grad-free replay of the actor and critic heads: plain
+    ``np.matmul`` on a 1-D input is the serial critic's gemv chain and on
+    a ``(m, 1, h)`` stack its audited slice-wise twin, and the actor's
+    2-D rows pass :func:`rowblock_matmul` to stay slab-exact.
+    """
     for module in mlp.body:
         if isinstance(module, Linear):
-            x = rowblock_matmul(x, module.weight.data, block)
-            if module.bias is not None:
-                x = x + module.bias.data
-        elif isinstance(module, ReLU):
-            x = np.maximum(x, 0.0)
-        elif isinstance(module, Tanh):
-            x = np.tanh(x)
-        elif isinstance(module, Identity):
-            pass
-        else:  # pragma: no cover - MLP only builds the kinds above
-            raise ConfigError(
-                f"batched forward cannot replay module {type(module).__name__}"
-            )
-    return x
-
-
-def _mlp_vector(mlp: MLP, x: np.ndarray) -> np.ndarray:
-    """Run an :class:`MLP` on one 1-D input, the serial critic's path."""
-    for module in mlp.body:
-        if isinstance(module, Linear):
-            x = x @ module.weight.data
+            x = matmul(x, module.weight.data)
             if module.bias is not None:
                 x = x + module.bias.data
         elif isinstance(module, ReLU):
@@ -551,7 +544,9 @@ class BatchedPolicyEvaluator:
         graph = embeddings.reshape(m, n, hidden).sum(axis=1) / float(n)
         tiled = np.repeat(graph, n, axis=0)
         actor_in = np.concatenate([embeddings, tiled], axis=1)
-        logits = _mlp_rows(self.policy.actor, actor_in, n)
+        logits = _replay_mlp(
+            self.policy.actor, actor_in, lambda x, w: rowblock_matmul(x, w, n)
+        )
         logits = logits.reshape(m, n * self.policy.max_units)
         return logits, self._critic_values(graph) if critic else None
 
@@ -588,34 +583,12 @@ class BatchedPolicyEvaluator:
             for module in self.policy.critic.body
             if isinstance(module, Linear)
         ):
-            return self._critic_slices(graph)
+            stacked = _replay_mlp(self.policy.critic, graph.reshape(m, 1, -1))
+            return stacked.reshape(m, -1).sum(axis=1)
         values = np.empty(m)
         for slot in range(m):
-            values[slot] = float(
-                _mlp_vector(self.policy.critic, graph[slot]).sum()
-            )
+            values[slot] = float(_replay_mlp(self.policy.critic, graph[slot]).sum())
         return values
-
-    def _critic_slices(self, graph: np.ndarray) -> np.ndarray:
-        """Critic over (m, h) rows as a stacked (m, 1, h) matmul chain."""
-        x = graph.reshape(graph.shape[0], 1, -1)
-        for module in self.policy.critic.body:
-            if isinstance(module, Linear):
-                x = np.matmul(x, module.weight.data)
-                if module.bias is not None:
-                    x = x + module.bias.data
-            elif isinstance(module, ReLU):
-                x = np.maximum(x, 0.0)
-            elif isinstance(module, Tanh):
-                x = np.tanh(x)
-            elif isinstance(module, Identity):
-                pass
-            else:  # pragma: no cover - MLP only builds the kinds above
-                raise ConfigError(
-                    "batched forward cannot replay module "
-                    f"{type(module).__name__}"
-                )
-        return x.reshape(graph.shape[0], -1).sum(axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -628,6 +601,8 @@ def collect_group(
     epoch: int,
     first_stream: int,
     max_trajectory_length: int,
+    rng: "np.random.Generator | None" = None,
+    step_limit: "int | None" = None,
 ) -> list[Fragment]:
     """Roll one group of ``benv.num_envs`` streams to completion.
 
@@ -636,13 +611,19 @@ def collect_group(
     batch (no refill), so every stream's content is independent of its
     groupmates and the group partitioning is determined by
     ``(num_envs, stream)`` alone.
+
+    ``rng`` replaces those streams with one shared generator (the
+    serial stream), and ``step_limit`` cuts a trajectory un-done after
+    that many steps, bootstrapped with the critic value of its next
+    state: one more forward, no draw.
     """
     num_envs = benv.num_envs
     benv.reset_all()
     rngs = [
-        stream_generator(seed, epoch, first_stream + slot)
+        stream_generator(seed, epoch, first_stream + slot) if rng is None else rng
         for slot in range(num_envs)
     ]
+    limit = max_trajectory_length if step_limit is None else step_limit
     transitions: list[list[Transition]] = [[] for _ in range(num_envs)]
     fragments: dict[int, Fragment] = {}
 
@@ -669,11 +650,15 @@ def collect_group(
         masks = benv.action_masks(slots)
         logits, values = evaluator.forward(observations)
 
-        live = [i for i in range(len(active)) if masks[i].any()]
+        live = [
+            i
+            for i in range(len(active))
+            if masks[i].any() and len(transitions[active[i]]) < limit
+        ]
         for i in range(len(active)):
             if i not in live:
-                # Spectrum exhausted: end un-done with a bootstrap, like
-                # the serial loop.
+                # Spectrum exhausted or step limit reached: end un-done
+                # with a bootstrap, like the serial loop.
                 finalize(active[i], False, False, float(values[i]))
         if not live:
             break
@@ -796,6 +781,13 @@ class BatchedRolloutCollector:
     :class:`~repro.errors.EnvironmentError_`.  Retries cannot perturb
     the batch: fragments are pure functions of their task key, so a
     respawned attempt reproduces the crashed one exactly.
+
+    ``rng`` (only at ``num_envs=1, num_workers=1``) switches to the
+    serial stream: every trajectory draws from that one generator, back
+    to back and continuing across epochs, so ``seed`` and ``epoch`` go
+    unused.  A round then stops at exactly ``budget`` steps, and the
+    first trajectory to end un-done (cut there, or out of spectrum)
+    ends it.
     """
 
     def __init__(
@@ -806,6 +798,7 @@ class BatchedRolloutCollector:
         num_envs: int,
         num_workers: int = 1,
         seed: int = 0,
+        rng: "np.random.Generator | None" = None,
         start_method: "str | None" = None,
         max_worker_retries: int = 2,
         retry_backoff: float = 0.05,
@@ -814,10 +807,15 @@ class BatchedRolloutCollector:
         check_parallelism(num_workers, num_envs)
         if max_worker_retries < 0:
             raise ConfigError("max_worker_retries must be >= 0")
+        if rng is not None and (num_envs, num_workers) != (1, 1):
+            raise ConfigError(
+                "a shared generator drives only num_envs=1, num_workers=1"
+            )
         self.policy = policy
         self.num_envs = num_envs
         self.num_workers = num_workers
         self.seed = int(seed)
+        self.rng = rng
         self.max_worker_retries = max_worker_retries
         self.retry_backoff = retry_backoff
         self.worker_timeout = worker_timeout
@@ -901,6 +899,7 @@ class BatchedRolloutCollector:
         self, budget: int, max_trajectory_length: int, epoch: int
     ) -> list[Fragment]:
         benv, evaluator = self._ensure_local()
+        serial = self.rng is not None
         fragments: list[Fragment] = []
         total = 0
         group = 0
@@ -912,6 +911,8 @@ class BatchedRolloutCollector:
                 epoch,
                 group * self.num_envs,
                 max_trajectory_length,
+                rng=self.rng,
+                step_limit=budget - total if serial else None,
             )
             group += 1
             telemetry.counter("rl.rollouts.batched_groups")
@@ -919,8 +920,10 @@ class BatchedRolloutCollector:
             for fragment in group_fragments:
                 fragments.append(fragment)
                 total += len(fragment)
-                if len(fragment) == 0:
-                    exhausted = True  # env has no valid action at reset
+                # No valid action at reset; on the serial stream, also
+                # a budget cut or a spent spectrum.
+                if len(fragment) == 0 or (serial and not fragment.done):
+                    exhausted = True
             if exhausted:
                 break
         return fragments

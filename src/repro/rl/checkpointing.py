@@ -12,9 +12,12 @@ uninterrupted run (``train_seconds`` excepted -- wall clock is not
 state).  What makes that possible:
 
 - policy parameters and Adam moments restore exactly (float64 arrays);
-- the serial collector's RNG is restored from its bit-generator state;
-- the batched collector (any ``num_workers`` or ``num_envs`` other than
-  one of each) needs no RNG state at all -- its streams are keyed by
+- the trainer's RNG is restored in place from its bit-generator state.
+  The one collector has two seeding contracts: at ``num_workers=1,
+  num_envs=1`` it draws the serial stream from that generator, which
+  therefore resumes where the killed run left it;
+- under the other contract (any other ``num_workers`` or ``num_envs``)
+  the collector needs no RNG state at all -- its streams are keyed by
   ``(seed, epoch, trajectory)``, so the resumed epoch counter alone
   re-addresses the identical stream family;
 - best-plan-so-far, epoch history, the patience counter and telemetry

@@ -11,33 +11,37 @@ scalability story.
 
 Determinism contract
 --------------------
-Two collectors with two distinct, documented guarantees:
+One collector, :class:`~repro.rl.batched.BatchedRolloutCollector`,
+with two seeding contracts, each a distinct documented guarantee:
 
-:class:`SerialRolloutCollector`
-    Reproduces the legacy in-process loop exactly: one environment, one
-    continuous RNG stream (the trainer's), trajectories collected back
-    to back until the step budget is consumed.  Trainers at
-    ``num_workers=1, num_envs=1`` (the default) use it, so their results
-    are byte-identical to the pre-subsystem trainers.
+The serial stream, ``(num_workers, num_envs) == (1, 1)`` (the default)
+    :func:`make_collector` hands the collector the trainer's generator.
+    Trajectories draw from it back to back, in the order the legacy
+    in-process loop did (mask, forward, sample, step), and the stream
+    continues across epochs and through checkpoint resume.  A round
+    stops at exactly the step budget; a trajectory cut there, or out
+    of spectrum, ends un-done with the critic value of its next state
+    and ends the round.  Results are byte-identical to the legacy
+    autodiff loop (``tests/rl/test_rollouts.py`` keeps it as a frozen
+    oracle).
 
-:class:`~repro.rl.batched.BatchedRolloutCollector`
-    Every other ``(num_workers, num_envs)``.  Trajectory ``s`` of epoch
-    ``e`` draws its actions from a dedicated RNG stream derived from
-    ``(seed, e, s)`` (see :func:`repro.seeding.stream_generator`), and
-    ``PlanningEnv.reset`` is deterministic, so a trajectory's content is
-    a pure function of ``(policy parameters, seed, e, s)``.  Streams run
-    in groups of ``num_envs`` lockstep environments, in process or on a
-    pool of ``num_workers`` processes, and fragments are merged in
-    stream order, so the merged batch is **bitwise identical for any
-    worker count and any num_envs** and invariant to OS scheduling.  The
-    last fragment is cut at the step budget and bootstrapped with the
-    critic value already computed for the next state; speculative work
-    past the budget is discarded (and counted in telemetry).
+Per-stream seeds, every other ``(num_workers, num_envs)``
+    Trajectory ``s`` of epoch ``e`` draws its actions from a dedicated
+    RNG stream derived from ``(seed, e, s)`` (see
+    :func:`repro.seeding.stream_generator`), and ``PlanningEnv.reset``
+    is deterministic, so a trajectory's content is a pure function of
+    ``(policy parameters, seed, e, s)``.  Streams run in groups of
+    ``num_envs`` lockstep environments, in process or on a pool of
+    ``num_workers`` processes, and fragments are merged in stream
+    order, so the merged batch is **bitwise identical for any worker
+    count and any num_envs** and invariant to OS scheduling.  The last
+    fragment is cut at the step budget and bootstrapped with the critic
+    value already computed for the next state; speculative work past
+    the budget is discarded (and counted in telemetry).
 
 The two contracts cannot coincide: the serial stream threads one RNG
 through data-dependent trajectory lengths, which has no
-order-independent parallel equivalent.  :func:`make_collector` therefore
-picks the serial collector at ``(1, 1)`` and the batched one otherwise.
+order-independent parallel equivalent.
 """
 
 from __future__ import annotations
@@ -46,9 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import telemetry
 from repro.errors import ConfigError
-from repro.nn.tensor import no_grad
 from repro.rl.env import PlanningEnv
 from repro.rl.policy import ActorCriticPolicy
 
@@ -179,106 +181,6 @@ def merge_fragments(fragments: list[Fragment], budget: int) -> RolloutBatch:
 
 
 # ----------------------------------------------------------------------
-# Serial collector (legacy loop, byte-identical)
-# ----------------------------------------------------------------------
-class SerialRolloutCollector:
-    """The legacy in-process collection loop behind the collector API.
-
-    Consumes the trainer's RNG in exactly the order the pre-subsystem
-    trainers did (mask, forward, sample, step), so any trainer driving
-    this collector produces byte-identical results to the old inline code.
-    """
-
-    def __init__(
-        self,
-        env: PlanningEnv,
-        policy: ActorCriticPolicy,
-        rng: np.random.Generator,
-    ):
-        self.env = env
-        self.policy = policy
-        self.rng = rng
-
-    def collect(
-        self, budget: int, max_trajectory_length: int, epoch: int = 0
-    ) -> RolloutBatch:
-        """Roll out up to ``budget`` steps with the current policy."""
-        del epoch  # the serial stream is continuous across epochs
-        env = self.env
-        fragments: list[Fragment] = []
-        current: list[Transition] = []
-        observation = env.reset()
-
-        for _ in range(budget):
-            mask = env.action_mask()
-            if not mask.any():
-                break
-            with no_grad():
-                distribution, value = self.policy(observation, env.adjacency_norm, mask)
-                action = distribution.sample(self.rng)
-                log_prob = distribution.log_prob(action).item()
-                value_estimate = value.item()
-            result = env.step(action)
-            current.append(
-                Transition(
-                    observation=observation,
-                    mask=mask,
-                    action=action,
-                    reward=result.reward,
-                    value=value_estimate,
-                    log_prob=log_prob,
-                )
-            )
-            observation = result.observation
-
-            if result.done or len(current) >= max_trajectory_length:
-                feasible = result.feasible
-                fragments.append(
-                    Fragment(
-                        transitions=current,
-                        stream=len(fragments),
-                        done=True,
-                        feasible=feasible,
-                        plan_cost=env.plan_cost() if feasible else None,
-                        capacities=env.capacities() if feasible else None,
-                        final_value=0.0,
-                    )
-                )
-                observation = env.reset()
-                current = []
-
-        if current:
-            with no_grad():
-                bootstrap = self.policy.value(observation, env.adjacency_norm).item()
-            fragments.append(
-                Fragment(
-                    transitions=current,
-                    stream=len(fragments),
-                    done=False,
-                    feasible=False,
-                    plan_cost=None,
-                    capacities=None,
-                    final_value=bootstrap,
-                )
-            )
-        batch = RolloutBatch(fragments)
-        if telemetry.enabled():
-            telemetry.counter("rl.rollouts.fragments", len(fragments))
-            telemetry.counter("rl.rollouts.steps", batch.num_steps)
-        return batch
-
-    def close(self) -> None:  # symmetry with the pool-backed collector
-        pass
-
-    def __enter__(self) -> "SerialRolloutCollector":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        self.close()
-        return False
-
-
-# ----------------------------------------------------------------------
 def check_parallelism(
     num_workers: int, num_envs: int, steps_per_epoch: "int | None" = None
 ) -> None:
@@ -309,15 +211,19 @@ def make_collector(
 ):
     """The collector for ``(num_workers, num_envs)``.
 
-    ``(1, 1)`` is the serial collector on ``rng``; anything else is the
-    batched collector, whose groups are single streams at
-    ``num_envs=1`` and whose pool spreads them over ``num_workers``
-    processes.  Its constructor rejects counts below one.
+    Always the batched collector: its groups are single streams at
+    ``num_envs=1``, its pool spreads them over ``num_workers``
+    processes, and at ``(1, 1)`` it runs the serial stream on ``rng``.
+    Its constructor rejects counts below one.
     """
-    if num_workers == 1 and num_envs == 1:
-        return SerialRolloutCollector(env, policy, rng)
     from repro.rl.batched import BatchedRolloutCollector
 
+    serial = (num_workers, num_envs) == (1, 1)
     return BatchedRolloutCollector(
-        env, policy, num_envs=num_envs, num_workers=num_workers, seed=seed
+        env,
+        policy,
+        num_envs=num_envs,
+        num_workers=num_workers,
+        seed=seed,
+        rng=rng if serial else None,
     )

@@ -39,7 +39,6 @@ from repro.rl.policy import ActorCriticPolicy
 from repro.rl.ppo import PPOConfig, PPOTrainer
 from repro.rl.rollouts import (
     Fragment,
-    SerialRolloutCollector,
     Transition,
     make_collector,
     merge_fragments,
@@ -217,7 +216,7 @@ class TestBatchedSerialParity:
 # ----------------------------------------------------------------------
 class TestConfigGuards:
     def test_auto_resolution(self):
-        """(1, 1) is the serial collector; any other count is batched."""
+        """Every (num_workers, num_envs) gets the batched collector."""
         for workers, envs in [(1, 1), (2, 1), (1, 4), (2, 4)]:
             collector = make_collector(
                 fresh_env(),
@@ -227,12 +226,9 @@ class TestConfigGuards:
                 num_envs=envs,
             )
             try:
-                if (workers, envs) == (1, 1):
-                    assert isinstance(collector, SerialRolloutCollector)
-                else:
-                    assert isinstance(collector, BatchedRolloutCollector)
-                    assert collector.num_workers == workers
-                    assert collector.num_envs == envs
+                assert isinstance(collector, BatchedRolloutCollector)
+                assert collector.num_workers == workers
+                assert collector.num_envs == envs
             finally:
                 collector.close()
 
@@ -432,46 +428,40 @@ class TestBatchedUpdate:
 
     @pytest.mark.parametrize("algo", sorted(TRAINERS))
     def test_update_runs_no_per_transition_forward(self, algo, monkeypatch):
-        """At num_envs=1 the autodiff forward runs in collection only."""
-        calls = {"collect": 0, "elsewhere": 0}
-        collecting = [False]
+        """No training epoch runs the autodiff policy at any pair.
+
+        Collection takes the grad-free evaluator, the (1, 1) serial
+        stream included, and each update one batched forward over the
+        epoch: ``ActorCriticPolicy.forward`` and ``value`` never run.
+        Forked pool workers inherit the trap."""
         evaluated_rows = []
-        forward = ActorCriticPolicy.forward
-        collect = SerialRolloutCollector.collect
         evaluate = BatchedForward.evaluate
 
-        def counted_forward(self, *args, **kwargs):
-            calls["collect" if collecting[0] else "elsewhere"] += 1
-            return forward(self, *args, **kwargs)
-
-        def flagged_collect(self, *args, **kwargs):
-            collecting[0] = True
-            try:
-                return collect(self, *args, **kwargs)
-            finally:
-                collecting[0] = False
+        def trap(self, *args, **kwargs):
+            raise AssertionError("a training epoch ran the autodiff policy")
 
         def recorded_evaluate(self, observations, masks, actions):
             evaluated_rows.append(len(actions))
             return evaluate(self, observations, masks, actions)
 
-        monkeypatch.setattr(ActorCriticPolicy, "forward", counted_forward)
-        monkeypatch.setattr(SerialRolloutCollector, "collect", flagged_collect)
+        monkeypatch.setattr(ActorCriticPolicy, "forward", trap)
+        monkeypatch.setattr(ActorCriticPolicy, "value", trap)
         monkeypatch.setattr(BatchedForward, "evaluate", recorded_evaluate)
         trainer_cls, config_cls = TRAINERS[algo]
-        config = config_cls(
-            epochs=1,
-            steps_per_epoch=BUDGET,
-            max_trajectory_length=MAX_TRAJECTORY,
-            seed=0,
-        )
-        trainer_cls(fresh_env(), fresh_policy(), config).train()
-        assert calls["elsewhere"] == 0
-        # One collection forward per transition, and every batched
-        # evaluation covers all of them at once.
-        assert calls["collect"] > 0
-        assert evaluated_rows
-        assert set(evaluated_rows) == {calls["collect"]}
+        for num_workers, num_envs in [(1, 1), (1, 2), (2, 1)]:
+            evaluated_rows.clear()
+            config = config_cls(
+                epochs=1,
+                steps_per_epoch=BUDGET,
+                max_trajectory_length=MAX_TRAJECTORY,
+                seed=0,
+                num_workers=num_workers,
+                num_envs=num_envs,
+            )
+            trainer_cls(fresh_env(), fresh_policy(), config).train()
+            # Every batched evaluation covers the whole epoch at once.
+            assert evaluated_rows, (num_workers, num_envs)
+            assert set(evaluated_rows) == {BUDGET}, (num_workers, num_envs)
 
     def test_gat_trains_at_every_num_envs(self):
         for algo, (trainer_cls, config_cls) in sorted(TRAINERS.items()):
@@ -823,20 +813,6 @@ class TestEvaluatorRowParity:
 # BatchedCategorical
 # ----------------------------------------------------------------------
 class TestBatchedCategorical:
-    def test_rows_match_independent_categoricals(self):
-        rng = np.random.default_rng(0)
-        logits = rng.normal(size=(4, 6))
-        mask = rng.random(size=(4, 6)) > 0.3
-        mask[:, 0] = True  # keep every row satisfiable
-        batched = BatchedCategorical(Tensor(logits), mask)
-        for row in range(4):
-            single = Categorical(Tensor(logits[row]), mask[row])
-            assert batched.probs_row(row).tobytes() == single.probs.tobytes()
-            draw_a = batched.sample_row(row, np.random.default_rng(row))
-            draw_b = single.sample(np.random.default_rng(row))
-            assert draw_a == draw_b
-            assert batched.mode_row(row) == single.mode()
-
     def test_rejects_bad_shapes(self):
         with pytest.raises(NNError, match="2-D"):
             BatchedCategorical(Tensor(np.zeros(3)))

@@ -1,16 +1,21 @@
 """Tests for the rollout-collection subsystem (repro.rl.rollouts).
 
-Covers the two determinism contracts (serial == legacy inline loop;
-worker-pool batches and trained results bitwise independent of
+Covers the one collector's two determinism contracts (at ``(1, 1)`` the
+serial stream == the legacy inline loop, bitwise, across epochs;
+elsewhere batches and trained results bitwise independent of
 ``num_workers`` and ``num_envs``), crash handling, shutdown hygiene,
 and the configuration guards.
 """
 
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from benchmarks.frozen_references import SerialAutodiffCollector
 from repro import telemetry
 from repro.errors import ConfigError, EnvironmentError_
 from repro.nn.tensor import no_grad
@@ -19,9 +24,10 @@ from repro.rl.batched import BatchedPlanningEnv, BatchedRolloutCollector
 from repro.rl.env import PlanningEnv
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.ppo import PPOConfig, PPOTrainer
-from repro.rl.rollouts import SerialRolloutCollector, make_collector
+from repro.rl.rollouts import make_collector
 from repro.seeding import as_generator, stream_generator
 from repro.topology import datasets, generators
+from repro.topology.traffic import TrafficMatrix
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -32,6 +38,34 @@ def fresh_env():
 
 def fresh_policy():
     return ActorCriticPolicy(feature_dim=1, max_units=1, rng=0)
+
+
+def out_of_spectrum_case():
+    """Figure 1 with demands no capacity can carry: every trajectory
+    adds capacity until the fibers' spectrum is spent (~150 steps)."""
+    instance = datasets.figure1_topology()
+    traffic = TrafficMatrix(
+        [replace(flow, demand=flow.demand * 1e6) for flow in instance.traffic]
+    )
+    env = PlanningEnv(
+        replace(instance, traffic=traffic), max_units_per_step=2, max_steps=1024
+    )
+    return env, ActorCriticPolicy(feature_dim=1, max_units=2, rng=0)
+
+
+def serial_collector(env, policy, seed):
+    return make_collector(env, policy, as_generator(seed), num_workers=1, num_envs=1)
+
+
+# K=1 trainings held to the frozen serial loop: (INVARIANCE_CASES
+# model, epochs, steps_per_epoch, max_trajectory_length or None for the
+# env's max_steps, seed).  The cut-heavy one ends most epochs
+# mid-trajectory.
+SERIAL_TRAININGS = {
+    "figure1": ("figure1", 3, 96, None, 7),
+    "A-gcn": ("A-gcn", 3, 96, None, 7),
+    "A-gcn-cut-heavy": ("A-gcn", 4, 50, 17, 3),
+}
 
 
 def reference_serial_rollout(env, policy, rng, budget, max_trajectory_length):
@@ -67,8 +101,11 @@ def reference_serial_rollout(env, policy, rng, budget, max_trajectory_length):
 
 
 class TestSerialCollector:
+    """``make_collector`` at ``(1, 1)``: the serial stream on the one
+    collector, held to the frozen legacy loop."""
+
     def test_matches_legacy_inline_loop_bitwise(self):
-        collector = SerialRolloutCollector(fresh_env(), fresh_policy(), as_generator(3))
+        collector = serial_collector(fresh_env(), fresh_policy(), 3)
         batch = collector.collect(budget=40, max_trajectory_length=10)
 
         ref_steps, ref_bounds = reference_serial_rollout(
@@ -79,17 +116,114 @@ class TestSerialCollector:
         assert batch.bounds() == ref_bounds
 
     def test_collect_consumes_exactly_the_budget(self):
-        collector = SerialRolloutCollector(fresh_env(), fresh_policy(), as_generator(0))
+        collector = serial_collector(fresh_env(), fresh_policy(), 0)
         batch = collector.collect(budget=17, max_trajectory_length=100)
         assert batch.num_steps == 17
         # The budget-cut fragment is marked un-done and bootstrapped.
         assert batch.fragments[-1].done is False
 
     def test_context_manager(self):
-        with SerialRolloutCollector(
-            fresh_env(), fresh_policy(), as_generator(0)
-        ) as collector:
+        with serial_collector(fresh_env(), fresh_policy(), 0) as collector:
             assert collector.collect(8, 8).num_steps == 8
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        rounds=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=400),  # budget
+                # Short caps cut often; 1024 lets a trajectory run out
+                # of spectrum.
+                st.integers(min_value=1, max_value=24) | st.just(1024),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        out_of_spectrum=st.booleans(),
+    )
+    def test_consecutive_rounds_match_oracle_on_one_generator(
+        self, seed, rounds, out_of_spectrum
+    ):
+        """Epoch after epoch, the collector and the oracle, each fed one
+        generator from the same seed, cut at the same budget and length
+        and stop at the same spent spectrum, bit for bit."""
+        make_case = (
+            out_of_spectrum_case
+            if out_of_spectrum
+            else lambda: (fresh_env(), fresh_policy())
+        )
+        collector = serial_collector(*make_case(), seed)
+        oracle = make_case() + (as_generator(seed),)
+        for epoch, (budget, max_trajectory_length) in enumerate(rounds):
+            batch = collector.collect(budget, max_trajectory_length, epoch)
+            ref_steps, ref_bounds = reference_serial_rollout(
+                *oracle, budget, max_trajectory_length
+            )
+            got = [
+                (t.action, t.reward, t.value, t.log_prob)
+                for t in batch.transitions()
+            ]
+            assert got == ref_steps, epoch
+            assert batch.bounds() == ref_bounds, epoch
+        assert collector.rng.bit_generator.state == oracle[2].bit_generator.state
+
+    def test_spent_spectrum_ends_the_round_like_the_oracle(self):
+        collector = serial_collector(*out_of_spectrum_case(), 0)
+        oracle = out_of_spectrum_case() + (as_generator(0),)
+        for epoch in range(2):
+            batch = collector.collect(1000, 1024, epoch)
+            ref_steps, ref_bounds = reference_serial_rollout(*oracle, 1000, 1024)
+            [fragment] = batch.fragments
+            assert 0 < batch.num_steps < 1000
+            assert fragment.done is False
+            got = [
+                (t.action, t.reward, t.value, t.log_prob)
+                for t in batch.transitions()
+            ]
+            assert got == ref_steps
+            assert batch.bounds() == ref_bounds
+
+    @pytest.mark.parametrize(
+        "trainer_cls, config_cls",
+        [(A2CTrainer, A2CConfig), (PPOTrainer, PPOConfig)],
+    )
+    @pytest.mark.parametrize("case", sorted(SERIAL_TRAININGS))
+    def test_trainers_match_the_frozen_serial_loop(
+        self, trainer_cls, config_cls, case, monkeypatch
+    ):
+        """A K=1 training result is the frozen autodiff loop's: history,
+        best plan and final weights."""
+        model, epochs, steps, max_trajectory_length, seed = SERIAL_TRAININGS[case]
+
+        def train():
+            env, policy = INVARIANCE_CASES[model]()
+            config = config_cls(
+                epochs=epochs,
+                steps_per_epoch=steps,
+                max_trajectory_length=max_trajectory_length or env.max_steps,
+                seed=seed,
+            )
+            result = trainer_cls(env, policy, config).train()
+            return result, policy.state_dict()
+
+        result, weights = train()
+        monkeypatch.setattr(
+            f"{trainer_cls.__module__}.make_collector",
+            lambda env, policy, rng, **counts: SerialAutodiffCollector(
+                env, policy, rng
+            ),
+        )
+        frozen, frozen_weights = train()
+        assert result.history == frozen.history  # float ==
+        assert result.best_cost == frozen.best_cost
+        assert result.best_capacities == frozen.best_capacities
+        assert weights.keys() == frozen_weights.keys()
+        for name, value in weights.items():
+            assert value.tobytes() == frozen_weights[name].tobytes(), name
 
 
 class TestParallelDeterminism:
@@ -174,7 +308,7 @@ INVARIANCE_CASES = {
     "A-sage-sparse": lambda: topology_a_case("sage", sparse=True),
     "A-gat": lambda: topology_a_case("gat"),
 }
-# (num_workers, num_envs) cells; (1, 1) is the serial collector, whose
+# (num_workers, num_envs) cells; (1, 1) runs the serial stream, whose
 # single RNG stream is a different, documented contract.
 SCALE_OUTS = [(2, 1), (4, 1), (1, 2), (1, 4), (2, 2)]
 
@@ -324,15 +458,22 @@ class TestGuards:
             A2CConfig(steps_per_epoch=4, num_workers=8)
 
     def test_make_collector_routes_backends(self):
+        """One collector for every pair; only (1, 1) gets the generator."""
         env, policy = fresh_env(), fresh_policy()
-        serial = make_collector(env, policy, as_generator(0))
-        assert isinstance(serial, SerialRolloutCollector)
-        pool = make_collector(env, policy, as_generator(0), num_workers=2, seed=0)
-        try:
-            assert isinstance(pool, BatchedRolloutCollector)
-            assert (pool.num_workers, pool.num_envs) == (2, 1)
-        finally:
-            pool.close()
+        rng = as_generator(0)
+        for workers, envs in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+            collector = make_collector(
+                env, policy, rng, num_workers=workers, num_envs=envs, seed=0
+            )
+            try:
+                assert isinstance(collector, BatchedRolloutCollector)
+                assert (collector.num_workers, collector.num_envs) == (workers, envs)
+                expected = rng if (workers, envs) == (1, 1) else None
+                assert collector.rng is expected
+            finally:
+                collector.close()
+        with pytest.raises(ConfigError, match="shared generator"):
+            BatchedRolloutCollector(env, policy, num_envs=2, rng=rng)
         for counts in ({"num_workers": 0}, {"num_envs": 0}):
             with pytest.raises(ConfigError, match="must be >= 1"):
                 make_collector(env, policy, as_generator(0), **counts)
