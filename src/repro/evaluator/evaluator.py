@@ -218,6 +218,14 @@ class PlanEvaluator:
             feasible=True, checks=checks, _cost_fn=self._lazy_cost(capacities)
         )
 
+    def advance_to(self, result: EvaluationResult) -> None:
+        """Take ``result``, a verdict for the current capacities that
+        another evaluator of this instance and demands may have
+        computed, as if this one had: in ``neuroplan`` mode the next
+        check resumes where that sweep stopped."""
+        if self._stateful is not None:
+            self._stateful.advance_to(result.violated_failure)
+
     def reset(self) -> None:
         """Start a fresh trajectory (forget stateful progress)."""
         if self._stateful is not None:

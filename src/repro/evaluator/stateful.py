@@ -40,6 +40,11 @@ class StatefulFailureChecker:
         self.verify_monotonic = verify_monotonic
         self._cursor = 0
         self._last_capacities: dict[str, float] | None = None
+        # Sweep position of each failure id ("none" is the base case).
+        self._positions: dict[str, int] = {}
+        for index, failure in enumerate(self.failures):
+            failure_id = failure.id if failure is not None else "none"
+            self._positions.setdefault(failure_id, index)
         # Cumulative instrumentation across check() calls.
         self.scenarios_checked = 0
         self.scenarios_skipped = 0
@@ -59,6 +64,22 @@ class StatefulFailureChecker:
         """Forget all survived failures (capacities may have decreased)."""
         self._cursor = 0
         self._last_capacities = None
+
+    def advance_to(self, violated_failure: "str | None") -> None:
+        """Resume the next check where a sweep of the current
+        capacities stopped: at ``violated_failure``, or past every
+        failure when it is ``None`` (feasible).
+
+        That sweep may be another checker's over the same instance and
+        demands (a shared evaluation memo).  Every failure it passed is
+        survived at these capacities, so, capacity only growing, this
+        checker need not check them again in this trajectory.
+        """
+        if violated_failure is None:
+            target = max(len(self.failures), 1)
+        else:
+            target = self._positions.get(violated_failure, 0)
+        self._cursor = max(self._cursor, target)
 
     def _record(self, skipped: int, checked: int) -> None:
         self.last_skipped = skipped

@@ -100,6 +100,16 @@ class ShortfallBound:
         return False
 
 
+class _Flight:
+    """One in-progress evaluation that concurrent envs may join."""
+
+    __slots__ = ("done", "result")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.result = None  # stays None when the evaluation raised
+
+
 class EvaluationMemo:
     """Shared evaluation verdicts across env clones of one instance.
 
@@ -110,7 +120,9 @@ class EvaluationMemo:
     memo keyed by the demand fingerprint and the capacity vector lets
     the first rollout pay for each state and every concurrent sibling
     reuse the exact result object -- bitwise-identical verdicts, one LP
-    solve instead of N.
+    solve instead of N.  Coalesced rollouts step in lockstep and reach
+    each state together, so a key is computed once: the first env to
+    miss evaluates and the others wait for its result object.
 
     Only attach one memo to environments of one instance.  They may sit
     at different demand targets: the key carries the checker's
@@ -124,25 +136,53 @@ class EvaluationMemo:
     def __init__(self, max_entries: int = 8192):
         self.max_entries = max_entries
         self._entries: dict = {}
+        self._flights: dict = {}
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
 
-    def get(self, key):
-        result = self._entries.get(key)
+    def get_or_compute(self, key, compute):
+        """The verdict for ``key``, calling ``compute()`` at most once
+        across concurrent callers.
+
+        A caller that finds ``key`` in flight waits for that result and
+        counts as a hit.  If the computing call raises, the error is its
+        own: its waiters wake and compute for themselves, so neither an
+        exception nor a partial result is ever shared.
+        """
         with self._lock:
-            if result is not None:
-                self._hits += 1
-            else:
+            result = self._entries.get(key)
+            flight = self._flights.get(key) if result is None else None
+            owner = result is None and flight is None
+            if owner:
                 self._misses += 1
-        if result is not None and telemetry.enabled():
+                flight = self._flights[key] = _Flight()
+            else:
+                self._hits += 1
+        if owner:
+            return self._compute(key, flight, compute)
+        if result is None:
+            flight.done.wait()
+            result = flight.result
+            if result is None:  # the computing call raised
+                with self._lock:
+                    self._hits -= 1
+                    self._misses += 1
+                return compute()
+        if telemetry.enabled():
             telemetry.counter("env.eval_memo.hits")
         return result
 
-    def put(self, key, result) -> None:
-        with self._lock:
-            if len(self._entries) < self.max_entries:
-                self._entries[key] = result
+    def _compute(self, key, flight: _Flight, compute):
+        try:
+            flight.result = compute()
+        finally:
+            with self._lock:
+                del self._flights[key]
+                if flight.result is not None and len(self._entries) < self.max_entries:
+                    self._entries[key] = flight.result
+            flight.done.set()
+        return flight.result
 
     def clear(self) -> None:
         with self._lock:
@@ -333,10 +373,12 @@ class PlanningEnv:
             self.evaluator.checker.demand_fingerprint,
             tuple(self._capacities.values()),
         )
-        result = memo.get(key)
-        if result is None:
-            result = self.evaluator.evaluate(self._capacities)
-            memo.put(key, result)
+        result = memo.get_or_compute(
+            key, lambda: self.evaluator.evaluate(self._capacities)
+        )
+        # A verdict another env computed also carries its sweep position,
+        # so this env's next check skips the failures already survived.
+        self.evaluator.advance_to(result)
         return result
 
     def _reset_at(self, capacities: dict[str, float]) -> np.ndarray:

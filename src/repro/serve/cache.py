@@ -48,12 +48,18 @@ class ResponseCache:
         self.misses = 0
         self.evictions = 0
 
-    def get(self, key: str) -> "dict | None":
+    def get(self, key: str, count_miss: bool = True) -> "dict | None":
+        """A copy of the cached response, or ``None``.
+
+        ``count_miss=False`` is for a probe whose miss a later lookup of
+        the same request repeats, so the miss is counted once.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
-                telemetry.counter(f"{self.telemetry_prefix}.misses")
+                if count_miss:
+                    self.misses += 1
+                    telemetry.counter(f"{self.telemetry_prefix}.misses")
                 return None
             self._entries.move_to_end(key)
             self.hits += 1

@@ -44,13 +44,17 @@ class WorkerPool:
             thread.start()
 
     # ------------------------------------------------------------------
-    def submit(self, fn, *args, **kwargs) -> Future:
-        """Enqueue ``fn(*args, **kwargs)``; raise :class:`Overloaded`
-        right away when the queue is full or the pool is draining."""
+    def ensure_accepting(self) -> None:
+        """Raise :class:`Overloaded` when the pool is draining."""
         with self._lock:
             if not self._accepting:
                 telemetry.counter("serve.pool.rejected_draining")
                 raise Overloaded("pool is shutting down; not accepting work")
+
+    def submit(self, fn, *args, **kwargs) -> Future:
+        """Enqueue ``fn(*args, **kwargs)``; raise :class:`Overloaded`
+        right away when the queue is full or the pool is draining."""
+        self.ensure_accepting()
         future: Future = Future()
         try:
             self._queue.put_nowait((fn, args, kwargs, future))

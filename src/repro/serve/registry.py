@@ -44,6 +44,7 @@ import math
 import os
 import re
 import threading
+import time
 import zipfile
 from dataclasses import dataclass
 
@@ -74,6 +75,11 @@ MANIFEST_FORMAT = "neuroplan-model"
 MANIFEST_VERSION = 1
 
 _VERSION_FILE = re.compile(r"^v(\d{4})\.json$")
+
+# A key directory changed at least this long before a resolve reads it
+# may have that resolution memoized (see ModelStore.resolve).  Covers
+# filesystems with 1-second timestamps.
+RESOLVE_MTIME_MARGIN_NS = 2_000_000_000
 
 # Process-wide cache of memory-mapped checkpoint parameters, keyed by
 # (absolute path, size, mtime_ns) so a republished file never aliases a
@@ -178,14 +184,44 @@ class ModelKey:
         }
 
 
-@dataclass
 class ModelRecord:
-    """One resolved store entry: key + version + paths + manifest."""
+    """One resolved store entry: key + version + paths + manifest.
 
-    key: ModelKey
-    version: int
-    checkpoint_path: str
-    manifest: dict
+    Each :meth:`ModelStore.resolve` returns a new record whose
+    ``manifest`` is copied from the store's memoized parse the first
+    time it is read, so a caller that mutates its record never changes
+    the next caller's.
+    """
+
+    __slots__ = ("key", "version", "checkpoint_path", "_manifest", "_shared")
+
+    def __init__(
+        self,
+        key: ModelKey,
+        version: int,
+        checkpoint_path: str,
+        manifest: dict,
+        *,
+        shared: bool = False,
+    ):
+        self.key = key
+        self.version = version
+        self.checkpoint_path = checkpoint_path
+        self._manifest = manifest
+        self._shared = shared
+
+    def __repr__(self) -> str:
+        return (
+            f"ModelRecord(key={self.key!r}, version={self.version}, "
+            f"checkpoint_path={self.checkpoint_path!r})"
+        )
+
+    @property
+    def manifest(self) -> dict:
+        if self._shared:
+            self._manifest = _copy_json(self._manifest)
+            self._shared = False
+        return self._manifest
 
     @property
     def policy_spec(self) -> dict:
@@ -201,6 +237,9 @@ class ModelStore:
 
     def __init__(self, root: "str | os.PathLike"):
         self.root = os.fspath(root)
+        # (dirname, requested version) ->
+        # (directory stamp, version, checkpoint path, parsed manifest).
+        self._resolved: dict = {}
 
     # ------------------------------------------------------------------
     # Publishing
@@ -302,7 +341,43 @@ class ModelStore:
         self, key: ModelKey, version: "int | str" = "latest"
     ) -> ModelRecord:
         """Resolve ``version`` (an int or the ``"latest"`` alias) of
-        ``key``; raise :class:`ModelNotFoundError` when absent."""
+        ``key``; raise :class:`ModelNotFoundError` when absent.
+
+        A resolution is memoized against the key directory's inode and
+        ``st_mtime_ns``, so a repeat costs one ``os.stat``.  Publishing
+        writes through ``os.replace`` and removing a file also updates
+        the directory, so a publish or a removal, from this process or
+        another, is seen by the next resolve.  (A manifest rewritten in
+        place, which the store never does, is not.)  Timestamps are
+        coarse (a clock tick, or 1 s on some filesystems), so a
+        directory changed less than :data:`RESOLVE_MTIME_MARGIN_NS` ago
+        is never memoized: a write in the same tick as the resolve
+        cannot hide behind an unchanged stamp.  Failures are never
+        memoized.
+        """
+        dirname = key.dirname()
+        try:
+            stat = os.stat(os.path.join(self.root, dirname))
+        except OSError:
+            return self._resolve_listed(key, version)
+        stamp = (stat.st_ino, stat.st_mtime_ns)
+        memo_key = (dirname, version) if isinstance(version, (int, str)) else None
+        cached = self._resolved.get(memo_key)
+        if cached is not None and cached[0] == stamp:
+            return ModelRecord(key, *cached[1:], shared=True)
+        record = self._resolve_listed(key, version)
+        if (
+            memo_key is not None
+            and time.time_ns() - stat.st_mtime_ns >= RESOLVE_MTIME_MARGIN_NS
+        ):
+            self._resolved[memo_key] = (
+                stamp, record.version, record.checkpoint_path, record.manifest
+            )
+            record._shared = True
+        return record
+
+    def _resolve_listed(self, key: ModelKey, version: "int | str") -> ModelRecord:
+        """:meth:`resolve` from a directory listing and a manifest read."""
         available = self.versions(key)
         if not available:
             raise ModelNotFoundError(
@@ -445,14 +520,21 @@ class InferenceAgent:
         concurrent rollouts batch, and the pool's evaluation memo is
         attached so they share feasibility verdicts; the resulting plan
         is bitwise identical either way.
+
+        ``metadata["lp_solves"]`` counts the LPs this rollout's own env
+        solved; a verdict taken from the memo costs it nothing.
         """
         env = self._checkout()
+        lp_before = env.evaluator.lp_solves
         try:
             if coalescer is None:
-                return greedy_rollout(env, self.policy, max_steps)
-            env.eval_memo = self._eval_memo
-            with coalescer.rollout(env) as act:
-                return greedy_rollout(env, self.policy, max_steps, act=act)
+                plan = greedy_rollout(env, self.policy, max_steps)
+            else:
+                env.eval_memo = self._eval_memo
+                with coalescer.rollout(env) as act:
+                    plan = greedy_rollout(env, self.policy, max_steps, act=act)
+            plan.metadata["lp_solves"] = env.evaluator.lp_solves - lp_before
+            return plan
         finally:
             env.eval_memo = None
             self._checkin(env)
@@ -634,6 +716,15 @@ def _jsonable_spec(spec: dict) -> dict:
         name: list(value) if isinstance(value, tuple) else value
         for name, value in spec.items()
     }
+
+
+def _copy_json(value):
+    """A deep copy of parsed JSON (dicts, lists and scalars)."""
+    if isinstance(value, dict):
+        return {name: _copy_json(item) for name, item in value.items()}
+    if isinstance(value, list):
+        return [_copy_json(item) for item in value]
+    return value
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:

@@ -26,7 +26,7 @@ from repro.core.neuroplan import NeuroPlan, NeuroPlanConfig
 from repro.errors import DeadlineExceeded, Overloaded, ServeError
 from repro.serve.cache import ResponseCache, canonical_key
 from repro.serve.pool import WorkerPool
-from repro.serve.registry import ModelKey, PolicyRegistry
+from repro.serve.registry import ModelKey, ModelRecord, PolicyRegistry
 from repro.topology import generators
 
 REQUEST_FIELDS = (
@@ -278,22 +278,9 @@ class PlanningService:
         from repro.solverfarm import FarmJob
 
         farm = self._ensure_farm()
-        record = self.registry.resolve(request.model_key(), request.model_version)
-        cache_key = canonical_key(request.identity(record.version))
-        if not request.no_cache:
-            cached = self.cache.get(cache_key)
-            if cached is not None:
-                future: Future = Future()
-                response = dict(cached)
-                response["cache_hit"] = True
-                response["timings"] = {
-                    **cached["timings"],
-                    "queue_s": 0.0,
-                    "total_s": time.perf_counter() - admitted_at,
-                }
-                telemetry.counter("serve.responses")
-                future.set_result(response)
-                return future
+        record, cache_key, response = self._cached_response(request, admitted_at)
+        if response is not None:
+            return _completed(response)
         job = FarmJob(
             request=request,
             record=record,
@@ -310,8 +297,11 @@ class PlanningService:
     def submit(self, request: PlanRequest, shed: "str | None" = None) -> Future:
         """Admit a request; the future resolves to the response dict.
 
-        Raises :class:`Overloaded` immediately when the queue is full or
-        the service is draining -- admission never blocks.  ``shed``
+        A response-cache hit is answered here, on either pipeline, as a
+        completed future with ``queue_s`` 0.0.  Work that needs a worker
+        raises :class:`Overloaded` immediately when the queue is full,
+        and a draining pool service refuses every request, hits
+        included -- admission never blocks.  ``shed``
         selects a degraded execution mode (see :data:`SHED_MODES`):
         ``"cache_only"`` answers from the response cache *without
         touching the pool* (a hit costs one dict copy, a miss is a typed
@@ -326,6 +316,13 @@ class PlanningService:
             return self._cache_only(request, admitted_at)
         if self.config.pipeline == "farm":
             return self._submit_farm(request, admitted_at, shed)
+        self.pool.ensure_accepting()
+        # A miss here is looked up again once a worker takes the request
+        # (a storm peer may have filled the cache meanwhile), and that
+        # lookup counts it.
+        _, _, response = self._cached_response(request, admitted_at, final=False)
+        if response is not None:
+            return _completed(response)
         return self.pool.submit(self._execute, request, admitted_at, shed)
 
     def plan(self, request: PlanRequest, shed: "str | None" = None) -> dict:
@@ -351,6 +348,36 @@ class PlanningService:
         return self.submit_replan(request, shed=shed).result()
 
     # ------------------------------------------------------------------
+    def _cached_response(
+        self,
+        request: PlanRequest,
+        admitted_at: float,
+        queue_s: float = 0.0,
+        final: bool = True,
+    ) -> "tuple[ModelRecord, str, dict | None]":
+        """Resolve ``request``'s model and look it up in the response
+        cache: ``(record, cache_key, response)``.
+
+        ``response`` is the cached answer stamped as this request's hit
+        (``cache_hit``, ``queue_s``, ``total_s``), or ``None`` on a miss
+        and for ``no_cache`` requests.  ``final=False`` leaves a miss
+        uncounted for a later lookup of the same request to count.
+        """
+        record = self.registry.resolve(request.model_key(), request.model_version)
+        cache_key = canonical_key(request.identity(record.version))
+        if request.no_cache:
+            return record, cache_key, None
+        response = self.cache.get(cache_key, count_miss=final)
+        if response is not None:
+            response["cache_hit"] = True
+            response["timings"] = {
+                **response["timings"],
+                "queue_s": queue_s,
+                "total_s": time.perf_counter() - admitted_at,
+            }
+            telemetry.counter("serve.responses")
+        return record, cache_key, response
+
     def _cache_only(self, request: PlanRequest, admitted_at: float) -> Future:
         """Answer from the cache, bypassing the pool queue entirely --
         this tier must keep working precisely when the queue is full.
@@ -359,37 +386,22 @@ class PlanningService:
         chance (the ``solver_cache_only`` tier): a baseline rollout
         segment hit is re-assembled into a response without touching the
         pool, the farm queues, or any LP/ILP work."""
+        record, _, response = self._cached_response(request, admitted_at)
+        if response is not None:
+            telemetry.counter("serve.shed.cache_only")
+            response["shed"] = "cache_only"
+            return _completed(response)
+        response = self._solver_cache_answer(request, record, admitted_at)
+        if response is not None:
+            return _completed(response)
+        telemetry.counter("serve.shed.cache_only_miss")
         future: Future = Future()
-        record = self.registry.resolve(request.model_key(), request.model_version)
-        cached = (
-            None
-            if request.no_cache
-            else self.cache.get(canonical_key(request.identity(record.version)))
-        )
-        if cached is None:
-            response = self._solver_cache_answer(request, record, admitted_at)
-            if response is not None:
-                future.set_result(response)
-                return future
-            telemetry.counter("serve.shed.cache_only_miss")
-            future.set_exception(
-                Overloaded(
-                    "shed to the cache-only tier with no cached response; "
-                    "retry later or lower the request priority tier"
-                )
+        future.set_exception(
+            Overloaded(
+                "shed to the cache-only tier with no cached response; "
+                "retry later or lower the request priority tier"
             )
-            return future
-        telemetry.counter("serve.shed.cache_only")
-        response = dict(cached)
-        response["cache_hit"] = True
-        response["shed"] = "cache_only"
-        response["timings"] = {
-            **cached["timings"],
-            "queue_s": 0.0,
-            "total_s": time.perf_counter() - admitted_at,
-        }
-        telemetry.counter("serve.responses")
-        future.set_result(response)
+        )
         return future
 
     def _solver_cache_answer(
@@ -480,20 +492,9 @@ class PlanningService:
                 f"request spent {queue_s:.3f}s queued, past its "
                 f"{deadline}s deadline"
             )
-        record = self.registry.resolve(request.model_key(), request.model_version)
-        cache_key = canonical_key(request.identity(record.version))
-        if not request.no_cache:
-            cached = self.cache.get(cache_key)
-            if cached is not None:
-                response = dict(cached)
-                response["cache_hit"] = True
-                response["timings"] = {
-                    **cached["timings"],
-                    "queue_s": queue_s,
-                    "total_s": time.perf_counter() - admitted_at,
-                }
-                telemetry.counter("serve.responses")
-                return response
+        _, cache_key, response = self._cached_response(request, admitted_at, queue_s)
+        if response is not None:
+            return response
 
         agent, record = self.registry.agent(
             request.model_key(), seed=request.seed, version=request.model_version
@@ -503,11 +504,11 @@ class PlanningService:
             coalescer = self._coalescers.get(
                 (record.key.dirname(), record.version), agent.policy
             )
-        lp_before = agent.lp_solves
         with telemetry.timer("serve.rollout"):
             rollout_start = time.perf_counter()
             plan = agent.plan(self.config.rollout_max_steps, coalescer=coalescer)
             rollout_s = time.perf_counter() - rollout_start
+        lp_solves = plan.metadata["lp_solves"]
 
         ilp_s = 0.0
         status = None
@@ -549,7 +550,7 @@ class PlanningService:
             ),
             "second_stage_status": status,
             "shed": "skip_ilp" if ilp_shed else None,
-            "lp_solves": agent.lp_solves - lp_before,
+            "lp_solves": lp_solves,
             "model": {"key": record.key.dirname(), "version": record.version},
             "timings": {
                 "queue_s": queue_s,
@@ -626,6 +627,12 @@ class PlanningService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _completed(response: dict) -> Future:
+    future: Future = Future()
+    future.set_result(response)
+    return future
 
 
 # Re-exported so transports can import everything from one module.

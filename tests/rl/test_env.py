@@ -1,5 +1,9 @@
 """Tests for the planning environment."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -194,3 +198,154 @@ class TestEvaluationMemo:
         twin.reset_from(plan)
         assert twin.feasible
         assert memo.stats()["hits"] == 1
+
+
+class TestEvaluationMemoComputeOnce:
+    """Concurrent callers on one key share one evaluation."""
+
+    WAITERS = 6
+
+    @staticmethod
+    def wait_until(predicate, timeout=30.0):
+        deadline = time.monotonic() + timeout
+        while not predicate():
+            assert time.monotonic() < deadline, "timed out waiting"
+            time.sleep(0.001)
+
+    def test_concurrent_callers_share_one_evaluation(self):
+        memo = EvaluationMemo()
+        release = threading.Event()
+        calls = []
+
+        def compute():
+            calls.append(1)
+            release.wait(30)
+            return object()
+
+        results = []
+        threads = [
+            threading.Thread(
+                target=lambda: results.append(memo.get_or_compute("k", compute))
+            )
+            for _ in range(self.WAITERS + 1)
+        ]
+        for thread in threads:
+            thread.start()
+        self.wait_until(lambda: memo.stats()["hits"] == self.WAITERS)
+        release.set()
+        for thread in threads:
+            thread.join(30)
+        assert len(calls) == 1
+        assert len(results) == self.WAITERS + 1
+        assert all(result is results[0] for result in results)
+        assert memo.stats() == {"entries": 1, "hits": self.WAITERS, "misses": 1}
+        assert memo.get_or_compute("k", compute) is results[0]
+        assert len(calls) == 1
+
+    def test_a_raising_evaluation_releases_its_waiters(self):
+        memo = EvaluationMemo()
+        release = threading.Event()
+        errors, results = [], []
+
+        def failing():
+            release.wait(30)
+            raise RuntimeError("LP backend crashed")
+
+        def owner():
+            try:
+                memo.get_or_compute("k", failing)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        def waiter():
+            mine = object()
+            results.append((mine, memo.get_or_compute("k", lambda: mine)))
+
+        first = threading.Thread(target=owner)
+        first.start()
+        self.wait_until(lambda: memo.stats()["misses"] == 1)
+        waiters = [threading.Thread(target=waiter) for _ in range(self.WAITERS)]
+        for thread in waiters:
+            thread.start()
+        self.wait_until(lambda: memo.stats()["hits"] == self.WAITERS)
+        release.set()
+        for thread in [first, *waiters]:
+            thread.join(30)
+        assert len(errors) == 1
+        assert len(results) == self.WAITERS
+        assert all(got is mine for mine, got in results)
+        assert memo.stats() == {
+            "entries": 0,
+            "hits": 0,
+            "misses": self.WAITERS + 1,
+        }
+
+    def test_joined_verdict_advances_the_stateful_sweep(self):
+        """An env that takes another env's verdict resumes its failure
+        sweep where that verdict stopped: two envs sharing one memo, in
+        either order, solve exactly one lone env's LPs."""
+        instance = generators.make_instance("A", seed=0, scale=0.5)
+        lone = PlanningEnv(instance)
+        pair = [PlanningEnv(instance, **lone.replica_kwargs()) for _ in range(2)]
+        memo = EvaluationMemo()
+        for env in pair:
+            env.eval_memo = memo
+        lone.reset()
+        for env in pair:
+            env.reset()
+        rng = np.random.default_rng(0)
+        while not lone.done and lone.steps < 200:
+            action = int(rng.choice(np.flatnonzero(lone.action_mask())))
+            lone.step(action)
+            pair.reverse()  # the other env meets the next state first
+            for env in pair:
+                env.step(action)
+        assert all(env.capacities() == lone.capacities() for env in pair)
+        assert memo.stats()["hits"] > 0
+        solved = sum(env.evaluator.lp_solves for env in pair)
+        assert solved == lone.evaluator.lp_solves
+
+    def test_stress_one_evaluation_per_key(self):
+        """More threads than cores on a few keys, with a short switch
+        interval: every key is computed once and every caller of a key
+        gets that key's object."""
+        memo = EvaluationMemo()
+        keys, rounds, threads_n = 5, 40, 16
+        computed = {key: [] for key in range(keys)}
+        seen = {key: set() for key in range(keys)}
+        lock = threading.Lock()
+
+        def compute(key):
+            result = object()
+            with lock:
+                computed[key].append(result)
+            time.sleep(0.0005)
+            return result
+
+        def worker(offset):
+            for index in range(rounds):
+                key = (index + offset) % keys
+                result = memo.get_or_compute(key, lambda: compute(key))
+                with lock:
+                    seen[key].add(id(result))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(offset,))
+                for offset in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for key in range(keys):
+            assert len(computed[key]) == 1
+            assert seen[key] == {id(computed[key][0])}
+        stats = memo.stats()
+        assert stats["misses"] == keys
+        assert stats["hits"] + stats["misses"] == rounds * threads_n

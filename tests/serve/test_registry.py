@@ -1,11 +1,15 @@
 """Model store + policy registry: versions, pinning, typed mismatches."""
 
+import builtins
+import json
 import os
 import shutil
+import time
+from pathlib import Path
 
 import pytest
 
-from repro.errors import ModelMismatchError, ModelNotFoundError
+from repro.errors import ModelMismatchError, ModelNotFoundError, ServeError
 from repro.rl.policy import ActorCriticPolicy
 from repro.serve import ModelKey, ModelStore, PolicyRegistry
 
@@ -125,3 +129,117 @@ class TestSatelliteAgentConfig:
     def test_tiny_agent_builds(self):
         agent = tiny_agent("short", seed=3)
         assert agent.config.a2c.seed == 3
+
+
+class TestResolveMemo:
+    """``ModelStore.resolve`` memoizes behind one ``os.stat`` of the key
+    directory, and never serves a stale or failed resolution."""
+
+    KEY = ModelKey(TOPOLOGY, SCALE, "short")
+
+    @staticmethod
+    def age(store: ModelStore, key: ModelKey, seconds: float = 60.0) -> None:
+        directory = os.path.join(store.root, key.dirname())
+        then = time.time() - seconds
+        os.utime(directory, (then, then))
+
+    @staticmethod
+    def count_reads(monkeypatch) -> dict:
+        calls = {"listdir": 0, "open": 0}
+        listdir, real_open = os.listdir, builtins.open
+
+        def counting_listdir(*args, **kwargs):
+            calls["listdir"] += 1
+            return listdir(*args, **kwargs)
+
+        def counting_open(*args, **kwargs):
+            calls["open"] += 1
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr(os, "listdir", counting_listdir)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        return calls
+
+    @pytest.mark.parametrize("aged", [False, True])
+    def test_publish_is_seen_by_the_next_resolve(
+        self, tmp_path, trained_agents, aged
+    ):
+        store = ModelStore(tmp_path)
+        publish(store, trained_agents["short"], "short")
+        if aged:
+            self.age(store, self.KEY)
+        assert store.resolve(self.KEY).version == 1
+        assert store.resolve(self.KEY).version == 1
+        publish(store, trained_agents["short"], "short")
+        assert store.resolve(self.KEY).version == 2
+        assert store.resolve(self.KEY, 1).version == 1
+
+    def test_aged_directory_resolves_from_one_stat(
+        self, tmp_path, trained_agents, monkeypatch
+    ):
+        store = ModelStore(tmp_path)
+        publish(store, trained_agents["short"], "short")
+        self.age(store, self.KEY)
+        first = store.resolve(self.KEY)
+        calls = self.count_reads(monkeypatch)
+        again = store.resolve(self.KEY)
+        assert calls == {"listdir": 0, "open": 0}
+        assert again.version == first.version
+        assert again.checkpoint_path == first.checkpoint_path
+        assert again.manifest == first.manifest
+
+    def test_young_directory_is_never_memoized(
+        self, tmp_path, trained_agents, monkeypatch
+    ):
+        store = ModelStore(tmp_path)
+        publish(store, trained_agents["short"], "short")
+        calls = self.count_reads(monkeypatch)
+        store.resolve(self.KEY)
+        store.resolve(self.KEY)
+        assert calls["listdir"] == 2
+        assert calls["open"] == 2
+
+    def test_pins_misses_and_bad_manifests_behave_as_before(
+        self, tmp_path, trained_agents
+    ):
+        store = ModelStore(tmp_path)
+        publish(store, trained_agents["short"], "short")
+        publish(store, trained_agents["short"], "short")
+        directory = os.path.join(store.root, self.KEY.dirname())
+        manifest = os.path.join(directory, "v0002.json")
+        good = Path(manifest).read_bytes()
+        Path(manifest).write_text("{not json")
+        self.age(store, self.KEY)
+        for _ in range(2):
+            assert store.resolve(self.KEY, 1).version == 1
+            assert store.resolve(self.KEY, "1").version == 1
+            with pytest.raises(ModelNotFoundError):
+                store.resolve(self.KEY, 99)
+            with pytest.raises(ModelNotFoundError):
+                store.resolve(self.KEY, "not-a-version")
+            with pytest.raises(ModelNotFoundError):
+                store.resolve(ModelKey("B", SCALE, "short"))
+            with pytest.raises(ServeError, match="unreadable"):
+                store.resolve(self.KEY)
+        # A repaired manifest, replaced as publish writes one, is read.
+        staged = Path(manifest + ".tmp")
+        staged.write_bytes(good)
+        os.replace(staged, manifest)
+        self.age(store, self.KEY)
+        assert store.resolve(self.KEY).version == 2
+
+    def test_mutating_a_record_leaves_the_next_one_intact(
+        self, tmp_path, trained_agents
+    ):
+        store = ModelStore(tmp_path)
+        publish(store, trained_agents["short"], "short")
+        self.age(store, self.KEY)
+        pristine = store.resolve(self.KEY)
+        expected = (pristine.checkpoint_path, json.dumps(pristine.manifest))
+        record = store.resolve(self.KEY)
+        record.checkpoint_path = "elsewhere.npz"
+        record.manifest["source"]["algo"] = "other"
+        record.manifest["policy_spec"]["mlp_hidden"].append(7)
+        record.manifest.pop("agent")
+        fresh = store.resolve(self.KEY)
+        assert (fresh.checkpoint_path, json.dumps(fresh.manifest)) == expected
