@@ -1,16 +1,17 @@
 """Batched multi-environment rollout collection and training.
 
-This module stacks ``K`` independent :class:`~repro.rl.env.PlanningEnv`
-trajectories so the per-step policy work runs once per *tick* (one
+This module steps ``K`` :class:`~repro.rl.env.PlanningEnv` trajectories
+in lockstep so the per-step policy work runs once per *tick* (one
 synchronized step of every live environment) instead of once per
 environment:
 
-- :class:`BatchedPlanningEnv` keeps the per-slot capacity state in one
-  ``(K, num_links)`` array, so action masks, spectrum guards and state
-  encoding are single vectorized queries over all slots.  Only the
-  irreducibly per-plan pieces — the LP evaluator and the Eq. 1 cost
-  delta — run per slot, through exactly the scalar code paths
-  :class:`PlanningEnv` uses.
+- :class:`BatchedPlanningEnv` is K ``PlanningEnv`` slots.  Each keeps
+  its own episode and steps through the same two halves as
+  :meth:`PlanningEnv.step` (capacity update; then reward, LP or
+  certified skip, and termination), so the episode is written once.
+  The slots' capacity vectors are the rows of one ``(K, num_links)``
+  array, so action masks, the spectrum guard between the halves and
+  the observations are single vectorized queries over the live rows.
 - :class:`BatchedPolicyEvaluator` is the grad-free collection forward:
   one pass over the stacked node features produces every slot's action
   log-probabilities and value.
@@ -74,14 +75,13 @@ import scipy.sparse as sp
 
 from repro import telemetry
 from repro.errors import ConfigError, EnvironmentError_
-from repro.evaluator import PlanEvaluator
 from repro.nn.distributions import BatchedCategorical
 from repro.nn.functional import MASK_FILL
 from repro.nn.gnn import GATLayer, GCNLayer, SAGELayer
 from repro.nn.layers import MLP, Identity, Linear, ReLU, Tanh
 from repro.nn.tensor import Tensor
 from repro.resilience import faults
-from repro.rl.env import TERMINAL_PENALTY, PlanningEnv, ShortfallBound
+from repro.rl.env import PlanningEnv
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.rollouts import (
     Fragment,
@@ -201,130 +201,83 @@ def mode_actions_rows(logits: np.ndarray, masks: np.ndarray) -> np.ndarray:
 # Batched environment
 # ----------------------------------------------------------------------
 class BatchedPlanningEnv:
-    """``num_envs`` lockstep copies of one :class:`PlanningEnv`.
+    """``num_envs`` lockstep :class:`PlanningEnv` slots of one instance.
 
-    Slot state lives in a ``(K, num_links)`` capacity array (mirrored by
-    per-slot dicts for the evaluator and the cost model), so the action
-    mask, the spectrum guard and the state encoding for *every* slot are
-    one vectorized query each.  The LP evaluator and the plan cost run
-    per slot through the same scalar calls ``PlanningEnv`` makes, and
-    each slot carries its plan cost the same way, keeping each slot's
-    rewards and termination bitwise identical to a standalone
-    environment.
+    Each slot is a whole ``PlanningEnv`` and keeps its own episode: the
+    capacity dict, the carried plan cost, the step count, the LP-skip
+    bound and its evaluator.  A step runs the slot's own two halves of
+    :meth:`PlanningEnv.step`, so every slot's rewards and termination are
+    a standalone environment's by construction.  What this class adds
+    is the work that vectorizes: the slots' capacity vectors are the rows
+    of one ``(K, num_links)`` array, so the action masks, the Eq. 4
+    spectrum guard and the capacity observations of all live slots are
+    one query each over their rows.
     """
 
     def __init__(self, instance: PlanningInstance, num_envs: int, **env_kwargs):
         if num_envs < 1:
             raise ConfigError("num_envs must be >= 1")
-        self.num_envs = num_envs
-        self.template = PlanningEnv(instance, **env_kwargs)
-        self.instance = instance
-        template = self.template
-        self.link_ids = template.link_graph.link_ids
-        self.num_links = template.num_links
-        self.num_actions = template.num_actions
-        self.max_units = template.max_units
-        self.max_steps = template.max_steps
-        self.unit = template.unit
-        self.reward_scale = template.reward_scale
-        self.adjacency_norm = template.adjacency_norm
-        self.sparse_adjacency = template.sparse_adjacency
-        self.feature_set = template.encoder.feature_set
-        spectrum = template._spectrum
-        self._usage = spectrum._usage
-        self._max_spectrum = spectrum._max_spectrum
-        self._spectral_efficiency = spectrum._spectral_efficiency
-        self._path_fibers = spectrum._path_fibers
-        self._path_offsets = spectrum._path_offsets
-        self.evaluators = [
-            PlanEvaluator(instance, mode=template.evaluator.mode)
-            for _ in range(num_envs)
+        first = PlanningEnv(instance, **env_kwargs)
+        # Replicas reuse the resolved reward scale: one greedy probe.
+        replica = first.replica_kwargs()
+        self._envs = [first] + [
+            PlanningEnv(instance, **replica) for _ in range(num_envs - 1)
         ]
-        self._caps = np.zeros((num_envs, self.num_links))
-        self._caps_dicts: list[dict[str, float]] = [{} for _ in range(num_envs)]
-        self._plan_costs = [0.0] * num_envs
-        self._steps = np.zeros(num_envs, dtype=np.int64)
-        self._done = np.ones(num_envs, dtype=bool)
-        self._feasible = np.zeros(num_envs, dtype=bool)
-        # Per-slot LP-skip bounds, the same rule PlanningEnv.step applies.
-        self._shortfall_bounds = [ShortfallBound() for _ in range(num_envs)]
+        self._caps = np.zeros((num_envs, first.num_links))
+        for slot, env in enumerate(self._envs):
+            env._capacity_vector = self._caps[slot]
+        self.num_envs = num_envs
+        self.instance = instance
+        self.evaluators = [env.evaluator for env in self._envs]
+        self.num_actions = first.num_actions
+        self.max_steps = first.max_steps
+        self.reward_scale = first.reward_scale
+        self.adjacency_norm = first.adjacency_norm
+        self.sparse_adjacency = first.sparse_adjacency
+        self._spectrum = first._spectrum
+        self._unit = first.unit
+        self._max_units = first.max_units
+        self._feature_set = first.encoder.feature_set
 
     # -- episode control ------------------------------------------------
     def reset_all(self) -> None:
         """Restart every slot from the instance's original capacities."""
-        base = self.instance.network.capacities()
-        base_vec = np.fromiter(
-            (base[link_id] for link_id in self.link_ids),
-            dtype=np.float64,
-            count=self.num_links,
-        )
-        base_cost = self.instance.cost_model.plan_cost(self.instance.network, base)
-        for slot in range(self.num_envs):
-            self._caps_dicts[slot] = dict(base)
-            self._caps[slot] = base_vec
-            self._plan_costs[slot] = base_cost
-            self.evaluators[slot].reset()
-            result = self.evaluators[slot].evaluate(self._caps_dicts[slot])
-            self._feasible[slot] = result.feasible
-            self._done[slot] = result.feasible
-            self._shortfall_bounds[slot].reseed(result, self._caps_dicts[slot])
-        self._steps[:] = 0
+        for env in self._envs:
+            env._reset_at(self.instance.network.capacities())
 
     @property
     def done(self) -> np.ndarray:
-        return self._done
+        return np.array([env.done for env in self._envs])
 
     @property
     def feasible(self) -> np.ndarray:
-        return self._feasible
+        return np.array([env.feasible for env in self._envs])
 
     def capacities(self, slot: int) -> dict[str, float]:
-        return dict(self._caps_dicts[slot])
+        return self._envs[slot].capacities()
 
     def plan_cost(self, slot: int) -> float:
-        return self._plan_costs[slot]
+        return self._envs[slot].plan_cost()
 
     # -- vectorized queries ---------------------------------------------
-    def _fiber_headroom_cols(self, slots: np.ndarray) -> np.ndarray:
-        """(num_fibers, len(slots)) spectrum headroom, one column per slot.
-
-        CSR-times-dense accumulates each output entry in the same order
-        as the per-slot matvec, so every column is bitwise identical to
-        ``SpectrumIndex.fiber_headroom`` for that slot.
-        """
-        return self._max_spectrum[:, None] - self._usage @ self._caps[slots].T
-
     def action_masks(self, slots: np.ndarray) -> np.ndarray:
         """(len(slots), num_actions) validity masks (Eq. 4), vectorized."""
-        headroom = self._fiber_headroom_cols(slots)
-        binding = np.minimum.reduceat(
-            headroom[self._path_fibers, :], self._path_offsets, axis=0
-        )
-        link_headroom = (
-            np.maximum(binding, 0.0) / self._spectral_efficiency[:, None]
-        ).T
-        units = np.floor(np.round(link_headroom / self.unit, 9))
-        allowed = np.minimum(units, self.max_units)
-        mask = np.arange(self.max_units)[None, None, :] < allowed[:, :, None]
-        return mask.reshape(len(slots), self.num_actions)
+        headroom = self._spectrum.vector_fiber_headroom(self._caps[slots])
+        return self._spectrum.action_mask(headroom, self._unit, self._max_units)
 
     def observe(self, slots: np.ndarray) -> np.ndarray:
         """(len(slots), num_links, feature_dim) normalized features.
 
         Normalization reduces over the node axis of the 3-D stack, which
         numpy evaluates slice by slice — bitwise the same arrays
-        ``StateEncoder.encode`` returns per slot.
+        :meth:`PlanningEnv.observation` returns per slot.
         """
-        if self.feature_set == "capacity":
-            # The running (K, num_links) array carries exactly the dict
-            # values, so these rows equal StateEncoder.raw_features.
+        if self._feature_set == "capacity":
             features = self._caps[slots][:, :, None]
         else:
+            envs = [self._envs[slot] for slot in slots]
             features = np.stack(
-                [
-                    self.template.encoder.raw_features(self._caps_dicts[slot])
-                    for slot in slots
-                ]
+                [env.encoder.raw_features(env._capacities) for env in envs]
             )
         return normalize_features(features, axis=1)
 
@@ -334,33 +287,13 @@ class BatchedPlanningEnv:
     ) -> list[tuple[float, bool, bool]]:
         """Apply one action per slot; return (reward, done, feasible) each.
 
-        Mirrors :meth:`PlanningEnv.step` slot for slot: capacity update,
-        spectrum guard, Eq. 1 incremental reward against the carried
-        plan cost, LP evaluation and termination — only the spectrum
-        guard is shared across slots.
+        Each slot runs :meth:`PlanningEnv.step`'s two halves; only the
+        spectrum guard between them is one query over the slots' rows.
         """
-        cost_model = self.instance.cost_model
-        network = self.instance.network
-        amounts = []
-        links = []
-        for slot, action in zip(slots, actions):
-            if self._done[slot]:
-                raise EnvironmentError_(
-                    "step() called on a finished trajectory"
-                )
-            if not 0 <= action < self.num_actions:
-                raise EnvironmentError_(f"action {action} out of range")
-            link_index, units_index = divmod(int(action), self.max_units)
-            link_id = self.link_ids[link_index]
-            amount = (units_index + 1) * self.unit
-            amounts.append(amount)
-            links.append(link_id)
-            self._caps_dicts[slot][link_id] = (
-                self._caps_dicts[slot][link_id] + amount
-            )
-            self._caps[slot, link_index] += amount
-
-        headroom = self._fiber_headroom_cols(np.asarray(slots))
+        envs = [self._envs[slot] for slot in slots]
+        # int(): numpy scalars would leak into the dicts and the cost.
+        applied = [env._apply(int(action)) for env, action in zip(envs, actions)]
+        headroom = self._spectrum.vector_fiber_headroom(self._caps[slots])
         violated = ~np.all(headroom >= -1e-9, axis=0)
         if violated.any():
             slot = slots[int(np.flatnonzero(violated)[0])]
@@ -368,31 +301,10 @@ class BatchedPlanningEnv:
                 f"action on slot {slot} violates spectrum; the action "
                 "mask must be applied before sampling"
             )
-
         results: list[tuple[float, bool, bool]] = []
-        for slot, amount, link_id in zip(slots, amounts, links):
-            capacities = self._caps_dicts[slot]
-            plan_cost = cost_model.plan_cost(network, capacities)
-            added_cost = plan_cost - self._plan_costs[slot]
-            self._plan_costs[slot] = plan_cost
-            reward = -added_cost / self.reward_scale
-            self._steps[slot] += 1
-            bound = self._shortfall_bounds[slot]
-            if bound.skips(link_id, amount):
-                feasible = False
-            else:
-                result = self.evaluators[slot].evaluate(capacities)
-                feasible = result.feasible
-                bound.reseed(result, capacities)
-            self._feasible[slot] = feasible
-            done = False
-            if feasible:
-                done = True
-            elif self._steps[slot] >= self.max_steps:
-                done = True
-                reward += TERMINAL_PENALTY
-            self._done[slot] = done
-            results.append((reward, done, feasible))
+        for env, (link_id, units) in zip(envs, applied):
+            reward = env._score(link_id, units)[0]
+            results.append((reward, env._done, env._feasible))
         return results
 
 
@@ -639,9 +551,10 @@ def collect_group(
             final_value=0.0 if done else final_value,
         )
 
-    active = [slot for slot in range(num_envs) if not benv.done[slot]]
+    done = benv.done
+    active = [slot for slot in range(num_envs) if not done[slot]]
     for slot in range(num_envs):
-        if benv.done[slot]:  # already feasible at reset: empty fragment
+        if done[slot]:  # already feasible at reset: empty fragment
             finalize(slot, False, False, 0.0)
 
     while active:

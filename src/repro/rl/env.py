@@ -240,15 +240,17 @@ class PlanningEnv:
         # Episode state.  ``_capacities`` (dict, for the evaluator and
         # the cost model) and ``_capacity_vector`` (link-graph order, for
         # the spectrum and the observation) hold the same floats; only
-        # _reset_at and step write them.  ``_plan_cost`` is the Eq. 1
-        # cost of those capacities, carried so a step costs one sum.
+        # _reset_at and _apply write them, the vector always in place,
+        # so a BatchedPlanningEnv can make it a row of its (K, n) array.
+        # ``_plan_cost`` is the Eq. 1 cost of those capacities, carried
+        # so a step costs one sum.
         self._capacities: dict[str, float] = {}
         self._capacity_vector = np.zeros(self.link_graph.num_nodes)
         self._plan_cost = 0.0
         # Fiber headroom the last step's spectrum guard computed (None
-        # after a reset), reused by the next action_mask().
+        # after a reset or an unguarded _apply), reused by the next
+        # action_mask().
         self._step_fiber_headroom: "np.ndarray | None" = None
-        self._unit_offsets = np.arange(self.max_units)
         self._steps = 0
         self._done = True
         self._feasible = False
@@ -325,18 +327,15 @@ class PlanningEnv:
             fiber_headroom = self._spectrum.vector_fiber_headroom(
                 self._capacity_vector
             )
-        headroom = self._spectrum.binding_link_headroom(fiber_headroom)
-        units = np.floor((headroom / self.unit).round(9))
-        allowed = np.minimum(units, self.max_units)
-        mask = self._unit_offsets[None, :] < allowed[:, None]
-        return mask.reshape(-1)
+        return self._spectrum.action_mask(fiber_headroom, self.unit, self.max_units)
 
     # ------------------------------------------------------------------
     # Episode control
     # ------------------------------------------------------------------
     def reset(self) -> np.ndarray:
         """Start a trajectory from the original capacities."""
-        return self._reset_at(self.instance.network.capacities())
+        self._reset_at(self.instance.network.capacities())
+        return self.observation()
 
     def reset_from(self, capacities: dict[str, float]) -> np.ndarray:
         """Start a trajectory from a prior plan's capacities (warm start).
@@ -361,7 +360,8 @@ class PlanningEnv:
             raise EnvironmentError_(
                 "reset_from capacities violate the spectrum constraints"
             )
-        return self._reset_at(merged)
+        self._reset_at(merged)
+        return self.observation()
 
     def _evaluate_memoized(self):
         """Evaluate the current capacities, sharing verdicts through an
@@ -381,9 +381,10 @@ class PlanningEnv:
         self.evaluator.advance_to(result)
         return result
 
-    def _reset_at(self, capacities: dict[str, float]) -> np.ndarray:
+    def _reset_at(self, capacities: dict[str, float]) -> None:
+        """Start a trajectory at ``capacities`` (taken, not copied)."""
         self._capacities = capacities
-        self._capacity_vector = self._spectrum.capacity_vector(capacities)
+        self._capacity_vector[:] = self._spectrum.capacity_vector(capacities)
         self._plan_cost = self.instance.cost_model.plan_cost(
             self.instance.network, capacities
         )
@@ -394,7 +395,6 @@ class PlanningEnv:
         self._feasible = result.feasible
         self._done = result.feasible  # nothing to plan
         self._shortfall_bound.reseed(result, self._capacities)
-        return self.observation()
 
     def retarget_demands(self, traffic) -> int:
         """Repoint the environment at a drifted demand matrix.
@@ -437,14 +437,7 @@ class PlanningEnv:
 
     def step(self, action: int) -> StepResult:
         """Apply an action; return the dense reward and termination."""
-        if self._done:
-            raise EnvironmentError_("step() called on a finished trajectory")
-        link_index, units = self._decode(action)
-        link_id = self.link_graph.link_ids[link_index]
-        amount = units * self.unit
-        capacity = self._capacities[link_id] + amount
-        self._capacities[link_id] = capacity
-        self._capacity_vector[link_index] = capacity
+        link_id, units = self._apply(action)
         fiber_headroom = self._spectrum.vector_fiber_headroom(self._capacity_vector)
         self._step_fiber_headroom = fiber_headroom
         if not (fiber_headroom >= -1e-9).all():
@@ -452,6 +445,41 @@ class PlanningEnv:
                 f"action on {link_id} violates spectrum; the action mask "
                 "must be applied before sampling"
             )
+        reward, added_cost, violated, shortfall = self._score(link_id, units)
+        return StepResult(
+            observation=self.observation(),
+            reward=reward,
+            done=self._done,
+            feasible=self._feasible,
+            info={
+                "violated_failure": violated,
+                "shortfall": shortfall,
+                "added_cost": added_cost,
+                "link": link_id,
+                "units": units,
+            },
+        )
+
+    # The two halves of a step, shared with BatchedPlanningEnv.step_slots.
+    # The caller runs the Eq. 4 spectrum guard between them, so a batch
+    # of slots can guard all its capacity rows in one query.
+    def _apply(self, action: int) -> tuple[str, int]:
+        """Add ``action``'s capacity; return (link id, units)."""
+        if self._done:
+            raise EnvironmentError_("step() called on a finished trajectory")
+        link_index, units = self._decode(action)
+        link_id = self.link_graph.link_ids[link_index]
+        capacity = self._capacities[link_id] + units * self.unit
+        self._capacities[link_id] = capacity
+        self._capacity_vector[link_index] = capacity
+        self._step_fiber_headroom = None
+        return link_id, units
+
+    def _score(self, link_id: str, units: int):
+        """Finish a guarded step: the Eq. 1 reward against the carried
+        cost, the LP (or a certified skip), the terminal penalty and
+        termination.  Returns (reward, added cost, violated failure,
+        shortfall)."""
         # incremental_cost(before, after) is plan_cost(after) minus
         # plan_cost(before); the latter is the carried cost.
         plan_cost = self.instance.cost_model.plan_cost(
@@ -463,7 +491,7 @@ class PlanningEnv:
         self._steps += 1
 
         bound = self._shortfall_bound
-        if bound.skips(link_id, amount):
+        if bound.skips(link_id, units * self.unit):
             feasible = False
             violated = bound.violated
             shortfall = bound.gap
@@ -479,19 +507,7 @@ class PlanningEnv:
         elif self._steps >= self.max_steps:
             self._done = True
             reward += TERMINAL_PENALTY
-        return StepResult(
-            observation=self.observation(),
-            reward=reward,
-            done=self._done,
-            feasible=self._feasible,
-            info={
-                "violated_failure": violated,
-                "shortfall": shortfall,
-                "added_cost": added_cost,
-                "link": link_id,
-                "units": units,
-            },
-        )
+        return reward, added_cost, violated, shortfall
 
     # ------------------------------------------------------------------
     def plan_cost(self) -> float:

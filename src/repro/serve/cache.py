@@ -27,6 +27,19 @@ def canonical_key(fields: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _copy(response: dict) -> dict:
+    """``response`` with its dict and list values copied one level down.
+
+    Responses nest only flat containers (the plan, the model stamp,
+    timings), so this keeps every hit, the stored entry and the response
+    that filled it independent at a fraction of ``copy.deepcopy``.
+    """
+    return {
+        key: value.copy() if type(value) in (dict, list) else value
+        for key, value in response.items()
+    }
+
+
 class ResponseCache:
     """Thread-safe LRU over response dicts; ``capacity=0`` disables it.
 
@@ -49,7 +62,7 @@ class ResponseCache:
         self.evictions = 0
 
     def get(self, key: str, count_miss: bool = True) -> "dict | None":
-        """A copy of the cached response, or ``None``.
+        """A copy (see :func:`_copy`) of the cached response, or ``None``.
 
         ``count_miss=False`` is for a probe whose miss a later lookup of
         the same request repeats, so the miss is counted once.
@@ -64,13 +77,16 @@ class ResponseCache:
             self._entries.move_to_end(key)
             self.hits += 1
             telemetry.counter(f"{self.telemetry_prefix}.hits")
-            return dict(entry)
+        # Stored entries are never mutated in place, so the copy needs
+        # no lock.
+        return _copy(entry)
 
     def put(self, key: str, response: dict) -> None:
         if self.capacity == 0:
             return
+        entry = _copy(response)
         with self._lock:
-            self._entries[key] = dict(response)
+            self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)

@@ -436,7 +436,7 @@ class PlanningService:
         if entry is None:
             telemetry.counter("serve.shed.solver_cache_only_miss")
             return None
-        capacities = dict(entry["capacities"])
+        capacities = entry["capacities"]
         feasible = bool(entry["feasible"])
         verdict = farm.cache.feasibility.get(
             feasibility_key(signature, BASELINE_FP, capacities)
@@ -445,7 +445,7 @@ class PlanningService:
             feasible = bool(verdict["feasible"])
         from repro.planning.plan import NetworkPlan
 
-        metadata = dict(entry.get("metadata") or {})
+        metadata = entry.get("metadata") or {}
         plan = NetworkPlan(
             instance_name=agent.instance.name,
             capacities=capacities,

@@ -357,9 +357,9 @@ class SolverFarm:
             rollout_key(job.signature, job.demand_fp, self._max_steps())
         )
         if cache_entry is not None:
-            job.plan_capacities = dict(cache_entry["capacities"])
+            job.plan_capacities = cache_entry["capacities"]
             job.feasible = bool(cache_entry["feasible"])
-            job.plan_metadata = dict(cache_entry.get("metadata", {}))
+            job.plan_metadata = cache_entry.get("metadata", {})
             job.rollout_cached = True
             job.warm_start = False  # nothing was rolled out at all
             return
@@ -385,9 +385,9 @@ class SolverFarm:
             self.cache.rollout.put(
                 rollout_key(job.signature, job.demand_fp, self._max_steps()),
                 {
-                    "capacities": dict(plan.capacities),
+                    "capacities": plan.capacities,
                     "feasible": job.feasible,
-                    "metadata": dict(plan.metadata),
+                    "metadata": plan.metadata,
                 },
             )
 
@@ -422,7 +422,7 @@ class SolverFarm:
             )
             cached = self.cache.polish.get(pkey)
             if cached is not None:
-                plan_capacities = dict(cached["capacities"])
+                plan_capacities = cached["capacities"]
                 method = cached["method"]
                 job.second_stage_status = cached["status"]
                 job.polish_cached = True
@@ -471,7 +471,7 @@ class SolverFarm:
                     self.cache.polish.put(
                         pkey,
                         {
-                            "capacities": dict(plan_capacities),
+                            "capacities": plan_capacities,
                             "method": method,
                             "status": status,
                         },

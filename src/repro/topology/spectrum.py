@@ -7,7 +7,8 @@ where the link rides the fiber) plus per-link fiber-path segments.
 Per-step queries -- every link's capacity headroom for the action mask,
 or whole-plan spectrum feasibility -- then reduce to one sparse matvec
 and a segmented minimum instead of nested Python loops over fibers and
-links.
+links.  The same queries take a stack of capacity vectors (one row per
+environment) and answer for every row at once.
 
 The arithmetic mirrors the scalar reference implementation on
 :class:`Network` exactly (same products, same summation order: CSR rows
@@ -84,8 +85,16 @@ class SpectrumIndex:
         return self.vector_fiber_headroom(self.capacity_vector(capacities))
 
     def vector_fiber_headroom(self, vector: np.ndarray) -> np.ndarray:
-        """:meth:`fiber_headroom` of a capacity vector in canonical order."""
-        return self._max_spectrum - self._usage @ vector
+        """:meth:`fiber_headroom` of a capacity vector in canonical order.
+
+        An ``(m, num_links)`` stack of vectors gives ``(num_fibers, m)``,
+        one column per vector.  CSR-times-dense accumulates each entry
+        in the matvec's order, so every column is bitwise the headroom
+        of its vector alone.
+        """
+        if vector.ndim == 1:
+            return self._max_spectrum - self._usage @ vector
+        return self._max_spectrum[:, None] - self._usage @ vector.T
 
     def link_headroom(self, capacities: Mapping[str, float]) -> np.ndarray:
         """Per-link max additional Gbps (the action-mask input).
@@ -97,11 +106,29 @@ class SpectrumIndex:
         return self.binding_link_headroom(self.fiber_headroom(capacities))
 
     def binding_link_headroom(self, fiber_headroom: np.ndarray) -> np.ndarray:
-        """:meth:`link_headroom` from an already computed fiber headroom."""
+        """:meth:`link_headroom` from an already computed fiber headroom.
+
+        A ``(num_fibers, m)`` headroom stack gives ``(m, num_links)``.
+        """
         binding = np.minimum.reduceat(
             fiber_headroom[self._path_fibers], self._path_offsets
         )
-        return np.maximum(binding, 0.0) / self._spectral_efficiency
+        return np.maximum(binding.T, 0.0) / self._spectral_efficiency
+
+    def action_mask(
+        self, fiber_headroom: np.ndarray, unit: float, max_units: int
+    ) -> np.ndarray:
+        """Eq. 4 validity of adding 1..``max_units`` units to each link.
+
+        Flat action ``link * max_units + (u - 1)`` is allowed while ``u``
+        units of ``unit`` Gbps fit the link's binding fiber.  A
+        ``(num_fibers, m)`` headroom stack gives one mask row per column.
+        """
+        headroom = self.binding_link_headroom(fiber_headroom)
+        units = np.floor((headroom / unit).round(9))
+        allowed = np.minimum(units, max_units)
+        mask = np.arange(max_units) < allowed[..., None]
+        return mask.reshape(allowed.shape[:-1] + (-1,))
 
     def feasible(
         self, capacities: Mapping[str, float], tol: float = 1e-9

@@ -594,15 +594,15 @@ class TestInfeasibilitySkip:
             masks = skipping.action_masks(slots)
             assert masks.tobytes() == reference.action_masks(slots).tobytes()
             actions = [int(rng.choice(np.flatnonzero(mask))) for mask in masks]
-            for bound in reference._shortfall_bounds:
-                bound.gap = 0.0  # force a real evaluate in every slot
+            for env in reference._envs:
+                env._shortfall_bound.gap = 0.0  # force a real evaluate in every slot
             stepped = skipping.step_slots(slots, actions)
             assert stepped == reference.step_slots(slots, actions)
             obs_a, obs_b = skipping.observe(slots), reference.observe(slots)
             assert obs_a.tobytes() == obs_b.tobytes()
             assert skipping.feasible.tobytes() == reference.feasible.tobytes()
-            violated = [b.violated for b in skipping._shortfall_bounds]
-            assert violated == [b.violated for b in reference._shortfall_bounds]
+            violated = [e._shortfall_bound.violated for e in skipping._envs]
+            assert violated == [e._shortfall_bound.violated for e in reference._envs]
         assert lp_solves(skipping) < lp_solves(reference)
 
     def test_gap_reseeds_after_each_real_evaluate(self):

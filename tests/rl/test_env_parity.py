@@ -120,6 +120,20 @@ def assert_same_state(env: PlanningEnv, ref: ReferenceEnv, observation) -> None:
     assert (env.done, env.feasible) == (ref.done, ref.feasible)
 
 
+def assert_slots_match(benv: BatchedPlanningEnv, refs, slots) -> None:
+    """Each slot's observation, mask, capacities and flags against its
+    own reference."""
+    observations = benv.observe(slots)
+    masks = benv.action_masks(slots)
+    for row, slot in enumerate(slots):
+        ref = refs[slot]
+        assert observations[row].tobytes() == ref.observation().tobytes()
+        assert masks[row].tobytes() == ref.mask().tobytes()
+        assert benv.capacities(slot) == ref.capacities
+        flags = (bool(benv.done[slot]), bool(benv.feasible[slot]))
+        assert flags == (ref.done, ref.feasible)
+
+
 def make_env(data) -> PlanningEnv:
     band = data.draw(st.sampled_from(["A", "B"]), label="band")
     seed = data.draw(st.integers(0, 40), label="seed")
@@ -213,7 +227,11 @@ class TestEnvMatchesDictFormulas:
         benv = BatchedPlanningEnv(
             template.instance, num_envs, **template.replica_kwargs()
         )
+        refs = [ReferenceEnv(template) for _ in range(num_envs)]
         benv.reset_all()
+        for ref in refs:
+            ref.reset_at(template.instance.network.capacities())
+        assert_slots_match(benv, refs, np.arange(num_envs))
         cost_model = benv.instance.cost_model
         network = benv.instance.network
         steps = np.zeros(num_envs, dtype=int)
@@ -222,6 +240,7 @@ class TestEnvMatchesDictFormulas:
             if slots.size == 0:
                 break
             masks = benv.action_masks(slots)
+            assert_slots_match(benv, refs, slots)
             if not masks.any(axis=1).all():
                 break
             actions = []
@@ -244,6 +263,13 @@ class TestEnvMatchesDictFormulas:
                 assert bits(benv.plan_cost(slot)) == bits(
                     cost_model.plan_cost(network, after)
                 )
+            for slot, action, (reward, done, feasible) in zip(
+                slots, actions, results
+            ):
+                ref_reward, ref_done, ref_feasible, _ = refs[slot].step(action)
+                assert bits(reward) == bits(ref_reward)
+                assert (done, feasible) == (ref_done, ref_feasible)
+            assert_slots_match(benv, refs, slots)
 
 
 class TestSpectrumGuard:
@@ -266,3 +292,51 @@ class TestSpectrumGuard:
         assert not ref.spectrum.feasible(ref.after(action))
         with pytest.raises(EnvironmentError_):
             env.step(action)
+
+    @staticmethod
+    def batched_past_its_mask(band):
+        """A two-slot batched env whose widest action outgrows a link."""
+        instance = generators.make_instance(band, seed=0, scale=0.5)
+        headroom = SpectrumIndex(instance.network).link_headroom(
+            instance.network.capacities()
+        )
+        room = np.floor(np.round(headroom / instance.capacity_unit, 9))
+        link_index = int(np.argmin(room))
+        max_units = int(room[link_index]) + 1
+        benv = BatchedPlanningEnv(
+            instance, 2, max_units_per_step=max_units, reward_scale=1.0
+        )
+        benv.reset_all()
+        return benv, link_index * max_units + max_units - 1
+
+    @pytest.mark.parametrize("band", ["A", "B"])
+    def test_batched_slot_past_its_mask_raises(self, band):
+        """One slot driven past its mask trips the batched guard, even
+        beside a valid step in the other slot."""
+        benv, action = self.batched_past_its_mask(band)
+        slots = np.array([0, 1])
+        masks = benv.action_masks(slots)
+        assert not masks[1, action]
+        assert masks[0, 0]
+        with pytest.raises(EnvironmentError_, match="slot 1"):
+            benv.step_slots(slots, np.array([0, action]))
+
+    def test_batched_finished_slot_raises(self):
+        instance = generators.make_instance("A", seed=0, scale=0.5)
+        benv = BatchedPlanningEnv(instance, 2, max_steps=1, reward_scale=1.0)
+        benv.reset_all()
+        assert not benv.done.any()
+        (reward, done, feasible), = benv.step_slots(np.array([1]), np.array([0]))
+        assert done and benv.done[1] and not benv.done[0]
+        with pytest.raises(EnvironmentError_, match="finished"):
+            benv.step_slots(np.array([1]), np.array([0]))
+
+    @pytest.mark.parametrize("action", [-1, "num_actions"])
+    def test_batched_action_out_of_range_raises(self, action):
+        instance = generators.make_instance("A", seed=0, scale=0.5)
+        benv = BatchedPlanningEnv(instance, 2, reward_scale=1.0)
+        benv.reset_all()
+        if action == "num_actions":
+            action = benv.num_actions
+        with pytest.raises(EnvironmentError_, match="out of range"):
+            benv.step_slots(np.array([0]), np.array([action]))

@@ -56,3 +56,44 @@ class TestResponseCache:
         assert counters["serve.cache.hits"] == 1
         assert counters["serve.cache.misses"] == 1
         assert counters["serve.cache.evictions"] == 1
+
+
+class TestNestedValuesAreCopied:
+    """A hit never shares a dict or list with the entry or its filler."""
+
+    def test_plan_and_model_of_hits_and_filler_are_independent(self):
+        cache = ResponseCache(capacity=2)
+        response = {
+            "plan": {"l1": 100.0, "l2": 200.0},
+            "model": {"key": "A-s0.5-long", "version": 3},
+            "cost": 1.0,
+        }
+        cache.put("k", response)
+        response["plan"]["l1"] = -2.0
+        response["model"]["version"] = -2
+        hit = cache.get("k")
+        hit["plan"]["l1"] = -1.0
+        hit["model"]["version"] = -1
+        later = cache.get("k")
+        assert later["plan"] == {"l1": 100.0, "l2": 200.0}
+        assert later["model"] == {"key": "A-s0.5-long", "version": 3}
+        assert later["plan"] is not cache.get("k")["plan"]
+
+    def test_farm_rollout_entry_capacities_are_independent(self):
+        from repro.solverfarm.cache import SolverResultCache, rollout_key
+
+        rollout = SolverResultCache(capacity=2).rollout
+        key = rollout_key(("A", 0.5, "long", 1), "demands", 64)
+        entry = {
+            "capacities": {"l1": 100.0},
+            "feasible": True,
+            "metadata": {"steps": 7},
+        }
+        rollout.put(key, entry)
+        entry["capacities"]["l1"] = -2.0
+        hit = rollout.get(key)
+        hit["capacities"]["l1"] = -1.0
+        hit["metadata"]["steps"] = -1
+        later = rollout.get(key)
+        assert later["capacities"] == {"l1": 100.0}
+        assert later["metadata"] == {"steps": 7}
